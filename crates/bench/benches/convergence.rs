@@ -1,10 +1,13 @@
-//! Convergence-scheduling bench: full sweep vs delta-driven vs ε-aware
-//! **approximate** iteration on multi-iteration workloads, tracking pairs
-//! evaluated per iteration, wall-clock (warm vs cold), and — for the
-//! approximate mode — the observed max score error against the exact
-//! scheduler next to the certified bound the run reports. The process
-//! **fails** if the observed error ever exceeds the reported bound (the
-//! CI bench smoke runs this with `--test`). Unlike the Criterion targets
+//! Convergence-scheduling bench: full sweep vs delta-driven vs `Auto`
+//! (per-iteration sweep-or-worklist) vs ε-aware **approximate** iteration
+//! on multi-iteration workloads, tracking pairs evaluated per iteration,
+//! wall-clock (warm vs cold), and — for the approximate mode — the
+//! observed max score error against the exact scheduler next to the
+//! certified bound the run reports. The process **fails** if the observed
+//! error ever exceeds the reported bound (the CI bench smoke runs this
+//! with `--test`), and in full mode if the median warm `Auto` run is
+//! slower than 1.1× the faster of the sweep and delta medians. Unlike the
+//! Criterion targets
 //! this bench also **emits `BENCH_convergence.json` at the repository
 //! root** so the perf trajectory is recorded across PRs.
 
@@ -38,6 +41,11 @@ struct Row {
     /// Per-iteration throughput of the warm delta run (evaluations that
     /// iteration / that iteration's wall clock).
     delta_pps_per_iteration: Vec<f64>,
+    /// Warm runs of the three exact modes, taken in turn within each
+    /// repetition so drift on a noisy host hits all three alike.
+    interleaved: Interleaved,
+    /// `Auto`'s per-iteration evaluation counts (`|H|` where it swept).
+    auto_per_iteration: Vec<usize>,
     /// FNV-1a hash of the exact scores (slots + bits) — compared across
     /// builds (e.g. `simd` feature on vs off) by the CI smoke.
     score_hash: u64,
@@ -54,6 +62,38 @@ struct KernelRow {
     speedup: f64,
     scalar_pps: f64,
     vectorized_pps: f64,
+}
+
+/// Min/median/max seconds of one mode's interleaved warm runs.
+struct Spread {
+    min: f64,
+    median: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut xs: Vec<f64>) -> Self {
+        xs.sort_by(f64::total_cmp);
+        Spread {
+            min: xs[0],
+            median: xs[xs.len() / 2],
+            max: xs[xs.len() - 1],
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"min\":{:.6},\"median\":{:.6},\"max\":{:.6}}}",
+            self.min, self.median, self.max
+        )
+    }
+}
+
+struct Interleaved {
+    reps: usize,
+    warm_sweep: Spread,
+    warm_delta: Spread,
+    warm_auto: Spread,
 }
 
 /// The approximate-mode measurements of one workload.
@@ -78,7 +118,14 @@ fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-fn measure(name: &str, g1: &Graph, g2: &Graph, cfg: &FsimConfig, reps: usize) -> Row {
+fn measure(
+    name: &str,
+    g1: &Graph,
+    g2: &Graph,
+    cfg: &FsimConfig,
+    reps: usize,
+    interleaved_reps: usize,
+) -> Row {
     let sweep_cfg = cfg.clone().convergence(ConvergenceMode::FullSweep);
     let delta_cfg = cfg.clone().convergence(ConvergenceMode::DeltaDriven);
 
@@ -137,6 +184,42 @@ fn measure(name: &str, g1: &Graph, g2: &Graph, cfg: &FsimConfig, reps: usize) ->
         );
     }
     assert_eq!(sweep.iterations(), delta.iterations(), "{name}: iterations");
+
+    // `Auto` against the two fixed schedules, interleaved: one warm run of
+    // each per repetition, so the three medians see the same host drift.
+    let auto_cfg = cfg.clone().convergence(ConvergenceMode::Auto);
+    let mut auto = FsimEngine::new(g1, g2, &auto_cfg).expect("valid config");
+    auto.run();
+    let time = |e: &mut FsimEngine<'_>| {
+        let t0 = Instant::now();
+        e.run();
+        t0.elapsed().as_secs_f64()
+    };
+    let (mut t_sweep, mut t_delta, mut t_auto) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..interleaved_reps.max(1) {
+        t_sweep.push(time(&mut sweep));
+        t_delta.push(time(&mut delta));
+        t_auto.push(time(&mut auto));
+    }
+    let interleaved = Interleaved {
+        reps: t_auto.len(),
+        warm_sweep: Spread::of(t_sweep),
+        warm_delta: Spread::of(t_delta),
+        warm_auto: Spread::of(t_auto),
+    };
+    for ((u1, v1, s1), (u2, v2, s2)) in sweep.iter_pairs().zip(auto.iter_pairs()) {
+        assert_eq!((u1, v1), (u2, v2), "{name}: auto pair order diverged");
+        assert_eq!(
+            s1.to_bits(),
+            s2.to_bits(),
+            "{name}: auto diverged at ({u1},{v1})"
+        );
+    }
+    assert_eq!(
+        sweep.iterations(),
+        auto.iterations(),
+        "{name}: auto iterations"
+    );
 
     // Kernel A/B: the scalar reference strategy (pre-vectorization
     // on-the-fly sweep) against the default vectorized strategy
@@ -233,6 +316,8 @@ fn measure(name: &str, g1: &Graph, g2: &Graph, cfg: &FsimConfig, reps: usize) ->
             .zip(delta.iteration_seconds())
             .map(|(&p, &s)| if s > 0.0 { p as f64 / s } else { 0.0 })
             .collect(),
+        interleaved,
+        auto_per_iteration: auto.pairs_evaluated().to_vec(),
         score_hash,
         kernel,
         approx: ApproxRow {
@@ -263,10 +348,11 @@ fn row_to_json(r: &Row) -> String {
         concat!(
             "{{\"workload\":\"{}\",\"pairs\":{},\"iterations\":{},",
             "\"dep_entries\":{},\"pairs_evaluated\":{{\"sweep\":{},\"delta\":{},",
-            "\"delta_per_iteration\":{}}},",
+            "\"delta_per_iteration\":{},\"auto\":{},\"auto_per_iteration\":{}}},",
             "\"wall_clock_s\":{{\"cold_sweep\":{:.6},\"cold_delta\":{:.6},",
             "\"warm_sweep\":{:.6},\"warm_delta\":{:.6},",
-            "\"warm_delta_par4\":{:.6}}},",
+            "\"warm_delta_par4\":{:.6},\"interleaved_reps\":{},",
+            "\"warm_sweep_spread\":{},\"warm_delta_spread\":{},\"warm_auto\":{}}},",
             "\"pairs_per_second\":{{\"warm_sweep\":{:.1},\"warm_delta\":{:.1},",
             "\"warm_delta_par4\":{:.1},",
             "\"approx\":{:.1},\"delta_per_iteration\":{}}},",
@@ -285,11 +371,17 @@ fn row_to_json(r: &Row) -> String {
         r.sweep_pairs_evaluated,
         r.delta_pairs_evaluated,
         json_usize_array(&r.delta_per_iteration),
+        r.auto_per_iteration.iter().sum::<usize>(),
+        json_usize_array(&r.auto_per_iteration),
         r.cold_sweep_s,
         r.cold_delta_s,
         r.warm_sweep_s,
         r.warm_delta_s,
         r.warm_delta_par4_s,
+        r.interleaved.reps,
+        r.interleaved.warm_sweep.json(),
+        r.interleaved.warm_delta.json(),
+        r.interleaved.warm_auto.json(),
         r.warm_sweep_pps,
         r.warm_delta_pps,
         r.warm_delta_par4_pps,
@@ -313,10 +405,10 @@ fn row_to_json(r: &Row) -> String {
 
 fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
-    let (scale, reps, epsilon) = if test_mode {
-        (0.05, 1, 1e-3)
+    let (scale, reps, interleaved_reps, epsilon) = if test_mode {
+        (0.05, 1, 3, 1e-3)
     } else {
-        (0.45, 5, 1e-4)
+        (0.45, 5, 9, 1e-4)
     };
     let g = DatasetSpec::by_name("NELL")
         .expect("spec")
@@ -337,8 +429,22 @@ fn main() {
     fig7_cfg.epsilon = epsilon;
 
     let rows = vec![
-        measure("session_reuse_theta0.9_bj", &g, &g, &theta_cfg, reps),
-        measure("theta_sweep_theta0.6_s", &g, &g, &fig7_cfg, reps),
+        measure(
+            "session_reuse_theta0.9_bj",
+            &g,
+            &g,
+            &theta_cfg,
+            reps,
+            interleaved_reps,
+        ),
+        measure(
+            "theta_sweep_theta0.6_s",
+            &g,
+            &g,
+            &fig7_cfg,
+            reps,
+            interleaved_reps,
+        ),
     ];
 
     for r in &rows {
@@ -364,6 +470,17 @@ fn main() {
             r.approx.max_error,
             r.approx.error_bound,
             r.approx.warm_s * 1e3,
+        );
+        let il = &r.interleaved;
+        println!(
+            "bench convergence/{:<28} interleaved x{} medians: sweep {:.3}ms, delta {:.3}ms, auto {:.3}ms (auto dense in {} of {} iterations)",
+            r.name,
+            il.reps,
+            il.warm_sweep.median * 1e3,
+            il.warm_delta.median * 1e3,
+            il.warm_auto.median * 1e3,
+            r.auto_per_iteration[1..].iter().filter(|&&p| p == r.pairs).count(),
+            r.auto_per_iteration.len().saturating_sub(1),
         );
         println!(
             "bench convergence/{:<28} throughput: sweep {:.3e} pairs/s, delta {:.3e} pairs/s, delta-par4 {:.3e} pairs/s | kernel scalar {:.3}ms vs vectorized {:.3}ms ({:.2}x)",
@@ -415,6 +532,21 @@ fn main() {
              (measured {:.2}x)",
             plateau.kernel.speedup
         );
+        // `Auto` must not lose to the better fixed schedule: its median
+        // warm run stays within 1.1x of the faster of the sweep and delta
+        // medians on every workload.
+        for r in &rows {
+            let il = &r.interleaved;
+            let best = il.warm_sweep.median.min(il.warm_delta.median);
+            assert!(
+                il.warm_auto.median <= 1.1 * best,
+                "{}: median warm Auto {:.3}ms exceeds 1.1x the faster fixed \
+                 schedule ({:.3}ms)",
+                r.name,
+                il.warm_auto.median * 1e3,
+                best * 1e3
+            );
+        }
     }
 
     // Keep the one-shot path honest too: `compute` under Auto must match

@@ -84,7 +84,9 @@ fn measure(name: &str, g1: &Graph, g2: &Graph, cfg: &FsimConfig, reps: usize) ->
 
     let mut sharded_rows = Vec::new();
     for k in [1usize, 4, 16] {
-        let shard_cfg = cfg.clone().shards(ShardSpec::Fixed(k));
+        // Sharded under the baseline's schedule: `Auto` may sweep where
+        // the worklist would not, and per-iteration work is compared.
+        let shard_cfg = delta_cfg.clone().shards(ShardSpec::Fixed(k));
         let shard_cold_s = best_of(reps, || {
             FsimEngine::new(g1, g2, &shard_cfg)
                 .expect("valid config")

@@ -115,12 +115,31 @@ pub struct UpperBoundPruning {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConvergenceMode {
-    /// Delta-driven when the operator supports slot evaluation and the
-    /// estimated dependency-CSR memory fits [`FsimConfig::csr_budget`];
-    /// full sweep otherwise. The default.
+    /// Picks, **per iteration**, whichever of the full sweep and the
+    /// dirty worklist should be cheaper — the default. Needs the
+    /// dependency CSR: it builds it when the operator supports slot
+    /// evaluation and the estimated CSR memory fits
+    /// [`FsimConfig::csr_budget`], shards when it does not (under
+    /// [`ShardSpec::Auto`]), and runs the on-the-fly full sweep otherwise.
+    ///
+    /// After the first iteration (always every pair), each iteration
+    /// applies a direction-optimizing edge test (Beamer et al., SC'12):
+    /// when the pairs that changed last iteration are read by at least a
+    /// fixed share of all dependency entries, the worklist would hold most
+    /// pairs in scattered order, so the iteration sweeps every pair in
+    /// slot order instead; otherwise it evaluates only the worklist, like
+    /// [`DeltaDriven`]. The test is a function of counts alone, so thread
+    /// and shard counts never change the choice, and stores below a few
+    /// thousand pairs always take the worklist. Either choice gives the
+    /// same bits: a pair outside the worklist has no changed input.
+    ///
+    /// [`DeltaDriven`]: ConvergenceMode::DeltaDriven
     Auto,
     /// Re-evaluate every maintained pair on every iteration (the paper's
-    /// Algorithm 1 as written). Never builds the dependency CSR.
+    /// Algorithm 1 as written). Builds the dependency CSR when it fits
+    /// [`FsimConfig::csr_budget`] — purely as the vectorized kernel's
+    /// contiguous slot buffers, not for scheduling — and otherwise
+    /// enumerates neighbors on the fly. Never shards.
     FullSweep,
     /// Always build the pair-dependency CSR and re-evaluate only pairs
     /// whose dependencies changed in the previous iteration. Ignores the
@@ -215,7 +234,9 @@ impl ConvergenceMode {
 /// property-checks this across variants × θ × pruning × threads × K).
 /// Sharded approximate runs carry the same certified error bound as
 /// unsharded ones. [`ConvergenceMode::FullSweep`] ignores the setting:
-/// the sweep never builds a CSR, so it is already memory-minimal.
+/// the sweep needs no dependency structure, so it builds the whole CSR
+/// (for the vectorized kernel) only when that fits
+/// [`FsimConfig::csr_budget`] and otherwise runs without one.
 ///
 /// ```
 /// use fsim_core::{compute, ConvergenceMode, FsimConfig, ShardSpec, Variant};
@@ -313,8 +334,10 @@ pub struct FsimConfig {
     /// bitwise identical to unsharded.
     pub shards: ShardSpec,
     /// Memory budget (bytes) for the pair-dependency CSR under
-    /// [`ConvergenceMode::Auto`]; when the estimated CSR size exceeds it,
-    /// the engine keeps the on-the-fly full sweep. Applied when the CSR is
+    /// [`ConvergenceMode::Auto`] and [`ConvergenceMode::FullSweep`]; when
+    /// the estimated CSR size exceeds it, `Auto` shards (under
+    /// [`ShardSpec::Auto`]) or falls back to the on-the-fly full sweep,
+    /// and `FullSweep` runs without a CSR. Applied when the CSR is
     /// (re)built. Default 256 MiB.
     pub csr_budget: usize,
     /// Memory budget (bytes) for the recorded iterate **trajectory** that

@@ -17,6 +17,7 @@
 //! bitwise identical to the full sweep (`tests/delta_convergence.rs`
 //! property-checks this across variants, θ, pruning and thread counts).
 
+use super::iterate::Rdeps;
 use crate::config::FsimConfig;
 use crate::operators::{DepEntry, OpCtx, OpScratch, Operator};
 use crate::store::{PairRef, PairStore};
@@ -253,14 +254,12 @@ impl PairDepCsr {
             + self.dims.len() * std::mem::size_of::<[u32; 4]>()
     }
 
-    /// Slot → dependents offsets (for the dirty scheduler).
-    pub(crate) fn rdep_offsets(&self) -> &[usize] {
-        &self.rdep_offsets
-    }
-
-    /// Concatenated dependents (for the dirty scheduler).
-    pub(crate) fn rdeps(&self) -> &[u32] {
-        &self.rdeps
+    /// The reverse dependents CSR (for the dirty scheduler).
+    pub(crate) fn reverse(&self) -> Rdeps<'_> {
+        Rdeps {
+            offsets: &self.rdep_offsets,
+            deps: &self.rdeps,
+        }
     }
 
     /// Borrows the seven raw columns for the snapshot codec

@@ -1,37 +1,52 @@
 //! The per-iteration update of Equation 3 and the convergence loop
 //! (Algorithm 1 lines 2–7, Theorem 1 / Corollary 1).
 //!
-//! Four scheduling regimes share the same update function:
-//! * the **full sweep** re-evaluates every maintained pair each iteration
-//!   (Algorithm 1 as written);
-//! * the **delta-driven** loop walks the prepared
-//!   [`PairDepCsr`](super::deps::PairDepCsr) and re-evaluates a pair only
-//!   if one of its dependencies changed in the previous iteration —
-//!   bitwise identical to the sweep;
-//! * the **sharded** loop ([`super::shards`]) applies the same dirty rule
-//!   over transient per-u-row-shard CSRs with boundary exchange — still
-//!   bitwise identical, with peak CSR memory bounded to one shard;
-//! * the **approximate** (ε-aware) loop additionally suppresses pairs
+//! One driver, [`converge`], runs every unsharded schedule; each of its
+//! iterations evaluates either **every slot** (dense) or the **dirty
+//! worklist** — the dependents, per the reverse
+//! [`PairDepCsr`](super::deps::PairDepCsr), of the slots whose score
+//! changed bitwise in the previous iteration. A clean slot's update is a
+//! pure function of inputs that did not change, so the two choices give
+//! the same bits and the driver may switch between them per iteration:
+//! * `FullSweep` is dense every iteration (Algorithm 1 as written);
+//! * `DeltaDriven` takes the worklist after the first iteration;
+//! * `Auto` decides per iteration, before building the worklist, with
+//!   Beamer's direction-optimizing edge test ([`dense_pays`]): dense once
+//!   the changed set's reverse dependencies cover most of the CSR, where
+//!   a streamed pass beats a scattered worklist;
+//! * the **approximate** (ε-aware) schedule additionally suppresses pairs
 //!   whose accumulated incoming-delta bound ([`ApproxState`]) stays below
 //!   `tolerance·ε/(w⁺+w⁻)` — not bitwise, but certified: suppressed
 //!   deltas accumulate until a re-evaluation, so the final accumulators
 //!   bound the distance to the exact result (Theorem 2's contraction).
-//!   It composes with both the unsharded and the sharded dirty loops.
+//!
+//! The **sharded** driver ([`super::shards`]) applies the same rules over
+//! transient per-u-row-shard CSRs with boundary exchange, and the edit
+//! path's **trajectory replay** ([`run_replay`]) re-evaluates only what an
+//! edit can reach — both bitwise identical to the unsharded driver.
 
 use super::deps::PairDepCsr;
-use super::parallel::{run_parallel, run_parallel_delta, IterationOutcome, Runtime};
+use super::parallel::{chunk_size, dispatch, IterationOutcome, Runtime, SharedScores, WorkerState};
 use crate::config::{FsimConfig, InitScheme};
 use crate::operators::{OpCtx, OpScratch, Operator, ScoreLookup};
 use crate::store::PairStore;
 use fsim_graph::{Graph, NodeId};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
+
+/// Slots per worker below which coordination overhead dominates
+/// ([`effective_threads`]); also the smallest store on which
+/// [`dense_pays`] may pick a dense iteration — below it an iteration is
+/// too short for its schedule to matter.
+pub(crate) const WORKER_FLOOR: usize = 2048;
 
 /// The worker count actually used for a worklist: auto-degraded so each
 /// worker owns at least a few thousand pairs (below that, coordination
 /// overhead dominates). Hoisted out of the iteration loop — the seed
 /// recomputed this, through a full `FsimConfig` clone, on every iteration.
 pub(crate) fn effective_threads(cfg_threads: usize, worklist: usize) -> usize {
-    cfg_threads.min((worklist / 2048).max(1))
+    cfg_threads.min((worklist / WORKER_FLOOR).max(1))
 }
 
 /// Budget-gated trajectory recorder: snapshots every iterate of a run
@@ -40,8 +55,15 @@ pub(crate) fn effective_threads(cfg_threads: usize, worklist: usize) -> usize {
 /// re-iteration on the next edit instead of a replay. Gating on actual
 /// bytes rather than the worst-case Corollary-1 iteration bound keeps
 /// recording alive for runs that converge far earlier than the bound.
+///
+/// `history` may arrive holding the previous run's iterates: their
+/// buffers are overwritten in place (a fresh multi-megabyte allocation
+/// per iterate costs more in page faults than the copy itself), and
+/// dropping the recorder truncates `history` to this run's iterates.
 pub(crate) struct Recorder<'a> {
     history: &'a mut Vec<Vec<f64>>,
+    /// Iterates recorded by this run (a prefix of `history`).
+    len: usize,
     budget: usize,
     bytes: usize,
     abandoned: bool,
@@ -49,9 +71,9 @@ pub(crate) struct Recorder<'a> {
 
 impl<'a> Recorder<'a> {
     pub(crate) fn new(history: &'a mut Vec<Vec<f64>>, budget: usize) -> Self {
-        history.clear();
         Self {
             history,
+            len: 0,
             budget,
             bytes: 0,
             abandoned: false,
@@ -70,7 +92,20 @@ impl<'a> Recorder<'a> {
             self.abandoned = true;
             return;
         }
-        self.history.push(iterate.to_vec());
+        match self.history.get_mut(self.len) {
+            Some(buf) => {
+                buf.clear();
+                buf.extend_from_slice(iterate);
+            }
+            None => self.history.push(iterate.to_vec()),
+        }
+        self.len += 1;
+    }
+}
+
+impl Drop for Recorder<'_> {
+    fn drop(&mut self) {
+        self.history.truncate(self.len);
     }
 }
 
@@ -289,13 +324,305 @@ pub(crate) fn pair_update<O: Operator, S: ScoreLookup>(
     pair_update_with_label(g1, g2, ctx, cfg, op, u, v, prev, scratch, label)
 }
 
-/// Iterates Equation 3 to convergence (or the iteration cap) by **full
-/// sweep**: every maintained pair is re-evaluated each iteration.
+/// `γ` of [`dense_pays`]: the share of the reverse-CSR entries the changed
+/// frontier must cover before a dense iteration beats the worklist.
+/// Chosen from measurement (`docs/INTERNALS.md` records the crossover):
+/// the θ=0.6 and θ=0 simple sessions sit at 0.96–0.97, where the sweep
+/// wins by 2–4×; the θ=0.9 bijective session sits at 0.55–0.71, where
+/// the two tie.
+const DENSE_SHARE: f64 = 0.8;
+
+/// Beamer's edge test (direction-optimizing BFS, SC'12) applied to
+/// Equation 3: a dense pass over all `n` slots pays once the previous
+/// iteration's changed set `C_{k−1}` reaches at least `γ` of the `entries`
+/// reverse dependencies — `frontier_entries = Σ_{c∈C_{k−1}} rdeg(c)` —
+/// because its worklist then holds most slots in scattered order, while
+/// the dense pass streams them in slot order with no worklist to build.
+/// A deterministic function of counts, so thread and shard counts cannot
+/// change the choice.
+pub(crate) fn dense_pays(n: usize, frontier_entries: usize, entries: usize) -> bool {
+    n >= WORKER_FLOOR
+        && frontier_entries > 0
+        && frontier_entries as f64 >= DENSE_SHARE * entries as f64
+}
+
+/// The reverse dependency CSR: the slots whose update reads slot `c` are
+/// `deps[offsets[c]..offsets[c + 1]]` (duplicates allowed — the
+/// drivers' epoch marks deduplicate).
+#[derive(Clone, Copy)]
+pub(crate) struct Rdeps<'a> {
+    pub(crate) offsets: &'a [usize],
+    pub(crate) deps: &'a [u32],
+}
+
+impl<'a> Rdeps<'a> {
+    /// The dependents of slot `c`.
+    #[inline]
+    pub(crate) fn of(&self, c: u32) -> &'a [u32] {
+        &self.deps[self.offsets[c as usize]..self.offsets[c as usize + 1]]
+    }
+
+    /// `Σ rdeg(c)` over `frontier` — `O(|frontier|)` offset reads.
+    fn entries_of(&self, frontier: &[u32]) -> usize {
+        frontier
+            .iter()
+            .map(|&c| self.offsets[c as usize + 1] - self.offsets[c as usize])
+            .sum()
+    }
+}
+
+/// Which slots each iteration of a [`converge`] run evaluates.
+#[derive(Clone, Copy)]
+pub(crate) enum Schedule<'a> {
+    /// Every slot, every iteration (Algorithm 1 as written).
+    Sweep,
+    /// After the first iteration, only the dirty worklist `D_k`: the
+    /// dependents of the slots whose bits changed in iteration `k−1`.
+    Worklist(Rdeps<'a>),
+    /// Per iteration, whichever of the two [`dense_pays`] picks.
+    Auto(Rdeps<'a>),
+}
+
+/// Iterates Equation 3 to convergence (Algorithm 1 lines 2–7): the one
+/// driver behind the sweep, the dirty worklist, `Auto`'s per-iteration
+/// choice and the ε-aware approximate schedule.
 ///
-/// `scores` holds `FSim⁰` on entry and the final scores on exit; `cur` is
-/// the reusable double buffer (resized to match). Dispatches to the
-/// sequential loop or to the session's [`Runtime`] — whose results are
-/// bitwise identical.
+/// `prev` holds `FSim⁰` (or, warm-started, a carried iterate) on entry
+/// and the final scores on exit; `cur` is the reusable double buffer.
+/// `update` maps `(slot, prev_scores, scratch) → new score` and must be a
+/// pure function of its inputs. Each iteration runs as one job on the
+/// session's [`Runtime`], or inline without one (see
+/// [`dispatch`](super::parallel::dispatch)).
+///
+/// Every iteration evaluates either **every slot** (dense) or the
+/// **worklist** `D_k`. Iteration 1 is dense unless `initial_worklist`
+/// warm-starts the run (slots outside it keep their incoming scores).
+/// Skipping a clean slot is exact: a slot outside `D_k` had no input
+/// change since it was last evaluated, so re-evaluating it reproduces its
+/// bits — which is why the exact schedules, and `Auto`'s switching between
+/// them, are bitwise identical. `approx` (only with
+/// [`Schedule::Worklist`]) switches on ε-aware scheduling: the next
+/// worklist holds only dependents whose accumulated incoming-delta bound
+/// crossed the [`ApproxState`] threshold — no longer bitwise; the state's
+/// final accumulators certify the error.
+///
+/// `record` receives the initial buffer and every iterate. Each
+/// `iter_seconds` entry covers its whole iteration: the schedule choice,
+/// the worklist build, the evaluation, recording and the approximate
+/// accounting.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn converge<U>(
+    rt: Option<&Runtime>,
+    schedule: Schedule<'_>,
+    max_iters: usize,
+    epsilon: f64,
+    prev: &mut Vec<f64>,
+    cur: &mut Vec<f64>,
+    mut record: Option<&mut Recorder<'_>>,
+    initial_worklist: Option<Vec<u32>>,
+    mut approx: Option<&mut ApproxState>,
+    update: U,
+) -> IterationOutcome
+where
+    U: Fn(usize, &[f64], &mut OpScratch) -> f64 + Sync,
+{
+    let n = prev.len();
+    let rdeps = match schedule {
+        Schedule::Sweep => None,
+        Schedule::Worklist(r) | Schedule::Auto(r) => Some(r),
+    };
+    debug_assert!(approx.is_none() || matches!(schedule, Schedule::Worklist(_)));
+    if let Some(h) = record.as_deref_mut() {
+        h.push(prev);
+    }
+    let mut dense = initial_worklist.is_none();
+    // Warm start: slots outside the worklist must read through the double
+    // buffer as-is.
+    match &initial_worklist {
+        Some(_) => cur.clone_from(prev),
+        None => {
+            cur.clear();
+            cur.resize(n, 0.0);
+        }
+    }
+    // D_k, when the iteration is not dense.
+    let mut worklist: Vec<u32> = initial_worklist.unwrap_or_default();
+    // C_{k−1}: slots whose score changed last iteration (tracked only
+    // when a schedule reads it).
+    let track = rdeps.is_some();
+    let mut changed: Vec<u32> = Vec::new();
+    // Worklist-membership marks: mark[s] == epoch ⇔ s ∈ current D_k.
+    let mut mark: Vec<u64> = vec![0; if track { n } else { 0 }];
+    let mut epoch = 0u64;
+    let mut local = WorkerState::new();
+    let threads = rt.map_or(1, Runtime::threads);
+    let buffers = [SharedScores::new(prev), SharedScores::new(cur)];
+    let cursor = AtomicUsize::new(0);
+    let deltas: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
+    let changed_sink: Mutex<Vec<u32>> = Mutex::new(Vec::new());
+
+    let mut out = IterationOutcome::empty();
+    let mut read = 0usize;
+    while out.iterations < max_iters {
+        let t0 = Instant::now();
+        if out.iterations > 0 {
+            dense = match (schedule, approx.is_some()) {
+                (Schedule::Sweep, _) => true,
+                (Schedule::Auto(r), false) => dense_pays(n, r.entries_of(&changed), r.deps.len()),
+                _ => false,
+            };
+            // The approximate schedule built D_k at the end of the last
+            // iteration; the exact worklist is the dependents of C_{k−1}.
+            if let (false, None, Some(r)) = (dense, approx.as_ref(), rdeps) {
+                epoch += 1;
+                worklist.clear();
+                for &c in &changed {
+                    for &dep in r.of(c) {
+                        if mark[dep as usize] != epoch {
+                            mark[dep as usize] = epoch;
+                            worklist.push(dep);
+                        }
+                    }
+                }
+            }
+        }
+        if !dense {
+            // Repair C_{k−1} \ D_k: a slot that changed last iteration but
+            // is not re-evaluated now still holds its two-iterations-old
+            // value in the write buffer; copy the current value forward.
+            // SAFETY: no dispatch is in flight; the coordinator has
+            // exclusive access to both buffers.
+            let read_buf = unsafe { buffers[read].as_read_slice() };
+            for &s in &changed {
+                if mark[s as usize] != epoch {
+                    // SAFETY: same window, and `changed` slots are
+                    // distinct, so this is the sole writer of `s`.
+                    unsafe { buffers[1 - read].write(s as usize, read_buf[s as usize]) };
+                }
+            }
+        }
+        let len = if dense { n } else { worklist.len() };
+        let chunk = chunk_size(len, threads);
+        let wl = &worklist;
+        cursor.store(0, Ordering::Relaxed);
+        dispatch(rt, &mut local, &|wid, ws| {
+            // SAFETY: this iteration only reads `buffers[read]` and writes
+            // disjoint slots of `buffers[1 - read]` (the coordinator wrote
+            // only non-worklist slots, before the dispatch).
+            let read_buf = unsafe { buffers[read].as_read_slice() };
+            let write = &buffers[1 - read];
+            let mut local_delta = 0.0f64;
+            let WorkerState { scratch, changed } = ws;
+            changed.clear();
+            let mut eval = |id: u32| {
+                let slot = id as usize;
+                let score = update(slot, read_buf, scratch);
+                let d = (score - read_buf[slot]).abs();
+                if d > local_delta {
+                    local_delta = d;
+                }
+                if track && score.to_bits() != read_buf[slot].to_bits() {
+                    changed.push(id);
+                }
+                // SAFETY: the cursor hands out disjoint ranges.
+                unsafe { write.write(slot, score) };
+            };
+            loop {
+                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if start >= len {
+                    break;
+                }
+                let end = (start + chunk).min(len);
+                if dense {
+                    let id = |i: usize| u32::try_from(i).expect("slot ids fit in u32");
+                    (id(start)..id(end)).for_each(&mut eval);
+                } else {
+                    wl[start..end].iter().for_each(|&s| eval(s));
+                }
+            }
+            deltas[wid].store(local_delta.to_bits(), Ordering::Relaxed);
+            if !changed.is_empty() {
+                changed_sink
+                    .lock()
+                    .expect("changed sink")
+                    .extend_from_slice(changed);
+            }
+        });
+        out.final_delta = deltas
+            .iter()
+            .map(|d| f64::from_bits(d.load(Ordering::Relaxed)))
+            .fold(0.0, f64::max);
+        out.pairs_evaluated.push(len);
+        out.iterations += 1;
+        read = 1 - read;
+        changed.clear();
+        std::mem::swap(
+            &mut changed,
+            &mut *changed_sink.lock().expect("changed sink"),
+        );
+        if let Some(h) = record.as_deref_mut() {
+            // SAFETY: no dispatch is in flight; the written buffer is
+            // stable.
+            h.push(unsafe { buffers[read].as_read_slice() });
+        }
+        if let (Some(ap), Some(r)) = (approx.as_deref_mut(), rdeps) {
+            // Evaluated slots are exact w.r.t. the iterate they read;
+            // reset their drift *before* folding in this iteration's
+            // changes (which postdate the reads), then gate the next
+            // worklist on the threshold. Runs even on the converging
+            // iteration so the final accumulators certify the returned
+            // scores. Per-slot max folds are order-independent, so the
+            // worker count cannot change the schedule.
+            if dense {
+                ap.acc.fill(0.0);
+            } else {
+                for &s in &worklist {
+                    ap.acc[s as usize] = 0.0;
+                }
+            }
+            // SAFETY: no dispatch is in flight; both buffers are stable.
+            let (new_buf, old_buf) = unsafe {
+                (
+                    buffers[read].as_read_slice(),
+                    buffers[1 - read].as_read_slice(),
+                )
+            };
+            ap.begin();
+            for &c in &changed {
+                let d = (new_buf[c as usize] - old_buf[c as usize]).abs();
+                for &dep in r.of(c) {
+                    ap.bump(dep, d);
+                }
+            }
+            epoch += 1;
+            worklist.clear();
+            ap.commit(|t| {
+                if mark[t as usize] != epoch {
+                    mark[t as usize] = epoch;
+                    worklist.push(t);
+                }
+            });
+        }
+        out.iter_seconds.push(t0.elapsed().as_secs_f64());
+        let stop = approx.as_deref().map_or(epsilon, |ap| ap.stop_delta);
+        if out.final_delta < stop {
+            out.converged = true;
+            break;
+        }
+    }
+
+    // The last-written buffer alternates; normalize so `prev` holds the
+    // final scores.
+    if out.iterations % 2 == 1 {
+        std::mem::swap(prev, cur);
+    }
+    out
+}
+
+/// Iterates Equation 3 by full sweep **without** a dependency CSR: each
+/// evaluation enumerates neighbors on the fly and looks scores up through
+/// the store (the path of operators without a slot-based evaluation, and
+/// of stores whose CSR does not fit the budget under `ShardSpec::Off`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_to_convergence<O: Operator>(
     g1: &Graph,
@@ -310,326 +637,33 @@ pub(crate) fn run_to_convergence<O: Operator>(
     rt: Option<&Runtime>,
 ) -> IterationOutcome {
     debug_assert_eq!(scores.len(), store.len());
-    cur.clear();
-    cur.resize(store.len(), 0.0);
-    let max_iters = cfg.effective_max_iters();
-
-    if let Some(rt) = rt {
-        return run_parallel(
-            rt,
-            max_iters,
-            cfg.epsilon,
-            scores,
-            cur,
-            |slot: usize, prev: &[f64], scratch: &mut OpScratch| {
-                let (u, v) = store.pairs[slot];
-                let view = store.view(prev);
-                pair_update_with_label(
-                    g1,
-                    g2,
-                    ctx,
-                    cfg,
-                    op,
-                    u,
-                    v,
-                    &view,
-                    scratch,
-                    label_terms[slot],
-                )
-            },
-        );
-    }
-
-    let mut scratch = OpScratch::new();
-    let mut out = IterationOutcome::empty();
-    while out.iterations < max_iters {
-        let t0 = Instant::now();
-        let mut delta = 0.0f64;
-        {
-            let view = store.view(scores);
-            for (slot, &(u, v)) in store.pairs.iter().enumerate() {
-                let s = pair_update_with_label(
-                    g1,
-                    g2,
-                    ctx,
-                    cfg,
-                    op,
-                    u,
-                    v,
-                    &view,
-                    &mut scratch,
-                    label_terms[slot],
-                );
-                let d = (s - scores[slot]).abs();
-                if d > delta {
-                    delta = d;
-                }
-                cur[slot] = s;
-            }
-        }
-        std::mem::swap(scores, cur);
-        out.final_delta = delta;
-        out.pairs_evaluated.push(store.len());
-        out.iter_seconds.push(t0.elapsed().as_secs_f64());
-        out.iterations += 1;
-        if delta < cfg.epsilon {
-            out.converged = true;
-            break;
-        }
-    }
-    out
-}
-
-/// Iterates Equation 3 to convergence by **full sweep over the slot CSR**:
-/// every maintained pair is re-evaluated each iteration — identical
-/// scheduling semantics (and `pairs_evaluated` accounting) to
-/// [`run_to_convergence`] — but each evaluation runs through
-/// [`PairDepCsr::eval_slot`]'s contiguous slot-indexed buffers instead of
-/// on-the-fly neighbor enumeration and hash-map score lookups. This is the
-/// *vectorized* sweep path: scores live in a flat SoA `f64` buffer indexed
-/// by dependency entries prepared at CSR build time, so the inner loop is
-/// pure index/f64 work. Bitwise identical to the on-the-fly sweep — the
-/// CSR materializes exactly the terms `map_sum` would enumerate, in the
-/// same fold order (the delta ≡ sweep goldens in
-/// `tests/kernel_equivalence.rs` pin this).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_sweep_slots<O: Operator>(
-    cfg: &FsimConfig,
-    op: &O,
-    store: &PairStore,
-    csr: &PairDepCsr,
-    label_terms: &[f64],
-    scores: &mut Vec<f64>,
-    cur: &mut Vec<f64>,
-    rt: Option<&Runtime>,
-) -> IterationOutcome {
-    debug_assert_eq!(scores.len(), store.len());
-    let n = store.len();
-    cur.clear();
-    cur.resize(n, 0.0);
-    let max_iters = cfg.effective_max_iters();
-
-    if let Some(rt) = rt {
-        return run_parallel(
-            rt,
-            max_iters,
-            cfg.epsilon,
-            scores,
-            cur,
-            |slot: usize, prev: &[f64], scratch: &mut OpScratch| {
-                csr.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot])
-            },
-        );
-    }
-
-    let mut scratch = OpScratch::new();
-    let mut out = IterationOutcome::empty();
-    while out.iterations < max_iters {
-        let t0 = Instant::now();
-        let mut delta = 0.0f64;
-        for slot in 0..n {
-            let s = csr.eval_slot(
+    converge(
+        rt,
+        Schedule::Sweep,
+        cfg.effective_max_iters(),
+        cfg.epsilon,
+        scores,
+        cur,
+        None,
+        None,
+        None,
+        |slot: usize, prev: &[f64], scratch: &mut OpScratch| {
+            let (u, v) = store.pairs[slot];
+            let view = store.view(prev);
+            pair_update_with_label(
+                g1,
+                g2,
+                ctx,
                 cfg,
                 op,
-                store,
-                slot,
-                scores,
-                &mut scratch,
+                u,
+                v,
+                &view,
+                scratch,
                 label_terms[slot],
-            );
-            let d = (s - scores[slot]).abs();
-            if d > delta {
-                delta = d;
-            }
-            cur[slot] = s;
-        }
-        std::mem::swap(scores, cur);
-        out.final_delta = delta;
-        out.pairs_evaluated.push(n);
-        out.iter_seconds.push(t0.elapsed().as_secs_f64());
-        out.iterations += 1;
-        if delta < cfg.epsilon {
-            out.converged = true;
-            break;
-        }
-    }
-    out
-}
-
-/// Iterates Equation 3 to convergence with **dirty-pair scheduling** over
-/// a prepared [`PairDepCsr`]: iteration 1 evaluates every slot; iteration
-/// `k > 1` evaluates only the dependents of slots whose score changed
-/// (bitwise) in iteration `k−1`. Clean slots keep their previous score
-/// exactly — the update is a pure function of inputs that did not change —
-/// so the outcome is bitwise identical to [`run_to_convergence`].
-///
-/// Two optional refinements:
-/// * `initial_worklist` replaces the evaluate-everything first iteration
-///   (a **warm start** from a score buffer that already holds a valid
-///   iterate — the approximate edit path). Slots outside it keep their
-///   incoming scores.
-/// * `approx` switches on ε-aware scheduling: iteration `k+1` evaluates
-///   only dependents whose accumulated incoming-delta bound crossed the
-///   [`ApproxState`] threshold. No longer bitwise; the state's final
-///   accumulators certify the error.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_delta<O: Operator>(
-    cfg: &FsimConfig,
-    op: &O,
-    store: &PairStore,
-    csr: &PairDepCsr,
-    label_terms: &[f64],
-    scores: &mut Vec<f64>,
-    cur: &mut Vec<f64>,
-    mut record: Option<&mut Recorder<'_>>,
-    initial_worklist: Option<Vec<u32>>,
-    mut approx: Option<&mut ApproxState>,
-    rt: Option<&Runtime>,
-) -> IterationOutcome {
-    debug_assert_eq!(scores.len(), store.len());
-    let n = store.len();
-    cur.clear();
-    cur.resize(n, 0.0);
-    let max_iters = cfg.effective_max_iters();
-
-    if let Some(rt) = rt {
-        // `run_parallel_delta` does its own warm-start pre-fill of `cur`.
-        return run_parallel_delta(
-            rt,
-            max_iters,
-            cfg.epsilon,
-            scores,
-            cur,
-            csr.rdep_offsets(),
-            csr.rdeps(),
-            record,
-            initial_worklist,
-            approx,
-            |slot: usize, prev: &[f64], scratch: &mut OpScratch| {
-                csr.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot])
-            },
-        );
-    }
-
-    if initial_worklist.is_some() {
-        // Warm start: slots outside the worklist must read through the
-        // double buffer as-is.
-        cur.copy_from_slice(scores);
-    }
-    if let Some(h) = record.as_deref_mut() {
-        h.push(scores);
-    }
-    let rdo = csr.rdep_offsets();
-    let rd = csr.rdeps();
-    let mut scratch = OpScratch::new();
-    let mut iterations = 0usize;
-    let mut converged = false;
-    let mut final_delta = f64::INFINITY;
-    let mut pairs_evaluated = Vec::new();
-    let mut iter_seconds = Vec::new();
-    // D_k: slots to evaluate this iteration (all of them at first, unless
-    // warm-started).
-    let mut worklist: Vec<u32> = initial_worklist.unwrap_or_else(|| (0..n as u32).collect());
-    // C_{k−1}: slots whose score changed last iteration.
-    let mut changed: Vec<u32> = Vec::new();
-    // Worklist-membership marks: mark[s] == epoch ⇔ s ∈ current worklist.
-    let mut mark: Vec<u64> = vec![0; n];
-    let mut epoch = 0u64;
-    while iterations < max_iters {
-        let t0 = Instant::now();
-        // Repair C_{k−1} \ D_k: a slot that changed last iteration but is
-        // not re-evaluated now still holds its two-iterations-old value in
-        // `cur`; copy the current value forward so `cur` ends the
-        // iteration complete.
-        for &s in &changed {
-            if mark[s as usize] != epoch {
-                cur[s as usize] = scores[s as usize];
-            }
-        }
-        changed.clear();
-        let mut delta = 0.0f64;
-        for &slot_id in &worklist {
-            let slot = slot_id as usize;
-            let s = csr.eval_slot(
-                cfg,
-                op,
-                store,
-                slot,
-                scores,
-                &mut scratch,
-                label_terms[slot],
-            );
-            let d = (s - scores[slot]).abs();
-            if d > delta {
-                delta = d;
-            }
-            if s.to_bits() != scores[slot].to_bits() {
-                changed.push(slot_id);
-            }
-            cur[slot] = s;
-        }
-        pairs_evaluated.push(worklist.len());
-        std::mem::swap(scores, cur);
-        if let Some(h) = record.as_deref_mut() {
-            h.push(scores);
-        }
-        final_delta = delta;
-        iterations += 1;
-        iter_seconds.push(t0.elapsed().as_secs_f64());
-        if let Some(ap) = approx.as_deref_mut() {
-            // Evaluated slots are exact w.r.t. the iterate they read;
-            // reset their drift *before* folding in this iteration's
-            // changes (which postdate the reads). Propagation must run
-            // even on the converging iteration so the final accumulators
-            // certify the returned scores.
-            for &s in &worklist {
-                ap.acc[s as usize] = 0.0;
-            }
-            epoch += 1;
-            worklist.clear();
-            ap.begin();
-            for &c in &changed {
-                let d = (scores[c as usize] - cur[c as usize]).abs();
-                for &dep in &rd[rdo[c as usize]..rdo[c as usize + 1]] {
-                    ap.bump(dep, d);
-                }
-            }
-            ap.commit(|t| {
-                if mark[t as usize] != epoch {
-                    mark[t as usize] = epoch;
-                    worklist.push(t);
-                }
-            });
-            if delta < ap.stop_delta {
-                converged = true;
-                break;
-            }
-            continue;
-        }
-        if delta < cfg.epsilon {
-            converged = true;
-            break;
-        }
-        // Next worklist: the dependents of every changed slot.
-        epoch += 1;
-        worklist.clear();
-        for &c in &changed {
-            let (a, b) = (rdo[c as usize], rdo[c as usize + 1]);
-            for &dep in &rd[a..b] {
-                if mark[dep as usize] != epoch {
-                    mark[dep as usize] = epoch;
-                    worklist.push(dep);
-                }
-            }
-        }
-    }
-    IterationOutcome {
-        iterations,
-        converged,
-        final_delta,
-        pairs_evaluated,
-        iter_seconds,
-    }
+            )
+        },
+    )
 }
 
 /// **Trajectory replay**: converges on an *edited* graph by replaying the
@@ -649,7 +683,7 @@ pub(crate) fn run_delta<O: Operator>(
 ///
 /// When the old trajectory is exhausted before `Δ < ε` (the edited system
 /// needs more iterations than the previous run), the loop degrades to the
-/// standard dirty-worklist iteration of [`run_delta`], seeded from the
+/// standard dirty-worklist iteration of [`converge`], seeded from the
 /// last two iterates.
 ///
 /// `scores` holds the edited run's `FSim⁰` on entry; `record` receives
@@ -675,8 +709,7 @@ pub(crate) fn run_replay<O: Operator>(
     cur.clear();
     cur.resize(n, 0.0);
     let max_iters = cfg.effective_max_iters();
-    let rdo = csr.rdep_offsets();
-    let rd = csr.rdeps();
+    let r = csr.reverse();
     let mut scratch = OpScratch::new();
     let mut iterations = 0usize;
     let mut converged = false;
@@ -703,7 +736,7 @@ pub(crate) fn run_replay<O: Operator>(
     seed(&mut worklist, &mut mark, epoch);
     for s in 0..n {
         if scores[s].to_bits() != old_traj[0][s].to_bits() {
-            for &dep in &rd[rdo[s]..rdo[s + 1]] {
+            for &dep in r.of(s as u32) {
                 if mark[dep as usize] != epoch {
                     mark[dep as usize] = epoch;
                     worklist.push(dep);
@@ -760,7 +793,7 @@ pub(crate) fn run_replay<O: Operator>(
         worklist.clear();
         seed(&mut worklist, &mut mark, epoch);
         for &c in &changed {
-            for &dep in &rd[rdo[c as usize]..rdo[c as usize + 1]] {
+            for &dep in r.of(c) {
                 if mark[dep as usize] != epoch {
                     mark[dep as usize] = epoch;
                     worklist.push(dep);
@@ -781,7 +814,7 @@ pub(crate) fn run_replay<O: Operator>(
         epoch += 1;
         worklist.clear();
         for &c in &changed {
-            for &dep in &rd[rdo[c as usize]..rdo[c as usize + 1]] {
+            for &dep in r.of(c) {
                 if mark[dep as usize] != epoch {
                     mark[dep as usize] = epoch;
                     worklist.push(dep);
@@ -832,7 +865,7 @@ pub(crate) fn run_replay<O: Operator>(
             epoch += 1;
             worklist.clear();
             for &c in &changed {
-                for &dep in &rd[rdo[c as usize]..rdo[c as usize + 1]] {
+                for &dep in r.of(c) {
                     if mark[dep as usize] != epoch {
                         mark[dep as usize] = epoch;
                         worklist.push(dep);

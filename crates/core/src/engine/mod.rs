@@ -7,9 +7,10 @@
 //!   [`score`](FsimEngine::score) / [`top_k`](FsimEngine::top_k) many
 //!   times over the same graph pair;
 //! * `iterate` (private) — initialization, the per-iteration update of
-//!   Equation 3 and convergence control (Theorem 1 / Corollary 1), in
-//!   bitwise-identical scheduling regimes (full sweep, delta-driven and
-//!   edit replay);
+//!   Equation 3 and convergence control (Theorem 1 / Corollary 1): one
+//!   driver whose iterations each evaluate every pair or the dirty
+//!   worklist (`Auto` picks per iteration), plus the edit replay — all
+//!   bitwise identical;
 //! * `deps` (private) — the pair-dependency CSR: the iteration-invariant
 //!   structure of Equation 3 (θ-prefiltered neighbor-pair slot lists,
 //!   fallback constants, the reverse dependents CSR) materialized once per

@@ -13,13 +13,16 @@
 //! [`WorkerState`] — survives across iterations, runs, reruns and shard
 //! visits instead of being reallocated per run.
 //!
-//! The iteration drivers below are plain sequential coordinators that
-//! dispatch one job per iteration: workers pull disjoint slot ranges via
-//! a lock-free atomic cursor (chunk size scaled to the worklist length by
-//! [`chunk_size`]), and [`Runtime::run`] blocks until every worker has
-//! finished, which both publishes the workers' writes and keeps the
-//! borrows captured by the job alive for exactly as long as they are
-//! used.
+//! The iteration drivers (the convergence driver in
+//! [`super::iterate`], the sharded driver and the parallel replay below)
+//! are plain sequential coordinators that dispatch one job per iteration
+//! (the first two through [`dispatch`], which runs the job inline when
+//! the session has no pool): workers pull disjoint slot ranges via a
+//! lock-free atomic cursor (chunk
+//! size scaled to the worklist length by [`chunk_size`]), and
+//! [`Runtime::run`] blocks until every worker has finished, which both
+//! publishes the workers' writes and keeps the borrows captured by the
+//! job alive for exactly as long as they are used.
 //!
 //! The bitwise sequential ≡ parallel guarantee is preserved: each slot's
 //! new score is a pure function of the previous iteration's buffer (which
@@ -31,6 +34,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+use super::iterate::Rdeps;
 use crate::operators::OpScratch;
 
 /// What a (sequential or parallel) run of the iteration loop reports.
@@ -42,8 +46,8 @@ pub(crate) struct IterationOutcome {
     pub converged: bool,
     /// The final `Δ = max |FSim^k − FSim^{k−1}|` (∞ if no iteration ran).
     pub final_delta: f64,
-    /// Pairs re-evaluated per iteration (`|H|` every iteration for the
-    /// full sweep; the dirty-worklist length under delta scheduling).
+    /// Pairs re-evaluated per iteration (`|H|` for a dense iteration;
+    /// the dirty-worklist length otherwise).
     pub pairs_evaluated: Vec<usize>,
     /// Wall-clock seconds per iteration, aligned with `pairs_evaluated`
     /// (the per-iteration pairs-per-second metric is their ratio).
@@ -99,7 +103,7 @@ pub(crate) struct WorkerState {
 }
 
 impl WorkerState {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             scratch: OpScratch::new(),
             changed: Vec::new(),
@@ -109,7 +113,7 @@ impl WorkerState {
 
 /// A job dispatched to the pool: invoked once per worker with the
 /// worker's index and its persistent state.
-type Job<'a> = dyn Fn(usize, &mut WorkerState) + Sync + 'a;
+pub(crate) type Job<'a> = dyn Fn(usize, &mut WorkerState) + Sync + 'a;
 
 /// Type-erased pointer to the current dispatch's job. The coordinator
 /// blocks in [`Runtime::run`] until every worker has finished, so the
@@ -273,7 +277,7 @@ fn worker_loop(shared: Arc<Shared>, wid: usize) {
 /// is ever accessed mutably by two parties. `UnsafeCell` expresses exactly
 /// that hand-verified aliasing discipline; the dispatch gate's mutex at
 /// each iteration boundary publishes the writes.
-struct SharedScores<'a> {
+pub(crate) struct SharedScores<'a> {
     cells: &'a [UnsafeCell<f64>],
 }
 
@@ -282,7 +286,7 @@ struct SharedScores<'a> {
 unsafe impl Sync for SharedScores<'_> {}
 
 impl<'a> SharedScores<'a> {
-    fn new(buf: &'a mut [f64]) -> Self {
+    pub(crate) fn new(buf: &'a mut [f64]) -> Self {
         let ptr = buf as *mut [f64] as *const [UnsafeCell<f64>];
         // SAFETY: `UnsafeCell<f64>` is `repr(transparent)` over `f64`, and
         // we hold the unique `&mut` borrow for `'a`.
@@ -296,7 +300,7 @@ impl<'a> SharedScores<'a> {
     /// # Safety
     /// Caller must guarantee no concurrent writes for the borrow's
     /// lifetime (true for the read buffer within one iteration).
-    unsafe fn as_read_slice(&self) -> &[f64] {
+    pub(crate) unsafe fn as_read_slice(&self) -> &[f64] {
         std::slice::from_raw_parts(self.cells.as_ptr() as *const f64, self.cells.len())
     }
 
@@ -305,7 +309,7 @@ impl<'a> SharedScores<'a> {
     /// # Safety
     /// Caller must be the only writer of `slot` this iteration.
     #[inline]
-    unsafe fn write(&self, slot: usize, value: f64) {
+    pub(crate) unsafe fn write(&self, slot: usize, value: f64) {
         *self.cells[slot].get() = value;
     }
 
@@ -321,90 +325,26 @@ impl<'a> SharedScores<'a> {
     }
 }
 
-/// Runs the full-sweep iteration loop on the session's [`Runtime`].
-///
-/// `prev` holds `FSim⁰` on entry and the final scores on exit; `cur` is
-/// the same-length double buffer. `update` maps `(slot, prev_scores,
-/// scratch) → new score` and must be a pure function of its inputs
-/// (scratch is worker-persistent reusable buffer space, not state).
-pub(crate) fn run_parallel<U>(
-    rt: &Runtime,
-    max_iters: usize,
-    epsilon: f64,
-    prev: &mut Vec<f64>,
-    cur: &mut Vec<f64>,
-    update: U,
-) -> IterationOutcome
-where
-    U: Fn(usize, &[f64], &mut OpScratch) -> f64 + Sync,
-{
-    let n = prev.len();
-    debug_assert_eq!(n, cur.len());
-    let chunk = chunk_size(n, rt.threads());
-    let buffers = [SharedScores::new(prev), SharedScores::new(cur)];
-    let cursor = AtomicUsize::new(0);
-    let deltas: Vec<AtomicU64> = (0..rt.threads()).map(|_| AtomicU64::new(0)).collect();
-
-    let mut out = IterationOutcome::empty();
-    let mut read = 0usize;
-    while out.iterations < max_iters {
-        let t0 = Instant::now();
-        cursor.store(0, Ordering::Relaxed);
-        rt.run(&|wid, ws| {
-            // SAFETY: this iteration only reads `buffers[read]` and
-            // writes disjoint cursor ranges of `buffers[1 - read]`.
-            let read_buf = unsafe { buffers[read].as_read_slice() };
-            let write = &buffers[1 - read];
-            let mut local_delta = 0.0f64;
-            loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + chunk).min(n);
-                for slot in start..end {
-                    let score = update(slot, read_buf, &mut ws.scratch);
-                    let d = (score - read_buf[slot]).abs();
-                    if d > local_delta {
-                        local_delta = d;
-                    }
-                    // SAFETY: `start..end` ranges from the cursor are
-                    // disjoint across workers.
-                    unsafe { write.write(slot, score) };
-                }
-            }
-            deltas[wid].store(local_delta.to_bits(), Ordering::Relaxed);
-        });
-        out.final_delta = deltas
-            .iter()
-            .map(|d| f64::from_bits(d.load(Ordering::Relaxed)))
-            .fold(0.0, f64::max);
-        out.pairs_evaluated.push(n);
-        out.iter_seconds.push(t0.elapsed().as_secs_f64());
-        out.iterations += 1;
-        read = 1 - read;
-        if out.final_delta < epsilon {
-            out.converged = true;
-            break;
-        }
+/// Runs `job` once per worker on the session's [`Runtime`], or — when
+/// there is none — once inline on the calling thread as worker 0 with
+/// `local` as its state. The drivers hand both paths the same job, so the
+/// worker count cannot change a bit of the outcome.
+pub(crate) fn dispatch(rt: Option<&Runtime>, local: &mut WorkerState, job: &Job<'_>) {
+    match rt {
+        Some(rt) => rt.run(job),
+        None => job(0, local),
     }
-
-    // The last-written buffer alternates; normalize so `prev` holds the
-    // final scores exactly like the sequential path.
-    if out.iterations % 2 == 1 {
-        std::mem::swap(prev, cur);
-    }
-    out
 }
 
 /// Evaluates an explicit worklist against a read-only previous-iteration
-/// buffer, writing `out[i]` for `worklist[i]`. Used by the sharded driver
-/// ([`super::shards`]): each slot's value is a pure function of `prev`
-/// (Jacobi) and the caller folds the results back in worklist order, so
-/// the outcome is bitwise identical to a sequential evaluation regardless
-/// of the worker count.
-pub(crate) fn eval_worklist_parallel<U>(
-    rt: &Runtime,
+/// buffer, writing `out[i]` for `worklist[i]`, on the pool or inline (see
+/// [`dispatch`]). Used by the sharded driver ([`super::shards`]): each
+/// slot's value is a pure function of `prev` (Jacobi) and the caller folds
+/// the results back in worklist order, so the outcome is bitwise
+/// identical regardless of the worker count.
+pub(crate) fn eval_worklist<U>(
+    rt: Option<&Runtime>,
+    local: &mut WorkerState,
     worklist: &[u32],
     prev: &[f64],
     out: &mut [f64],
@@ -414,222 +354,21 @@ pub(crate) fn eval_worklist_parallel<U>(
 {
     debug_assert_eq!(worklist.len(), out.len());
     let n = worklist.len();
-    let chunk = chunk_size(n, rt.threads());
+    let chunk = chunk_size(n, rt.map_or(1, Runtime::threads));
     let shared_out = SharedScores::new(out);
     let cursor = AtomicUsize::new(0);
-    rt.run(&|_wid, ws| {
-        loop {
-            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            let end = (start + chunk).min(n);
-            for (i, &slot) in worklist.iter().enumerate().take(end).skip(start) {
-                let v = update(slot as usize, prev, &mut ws.scratch);
-                // SAFETY: cursor ranges are disjoint across workers.
-                unsafe { shared_out.write(i, v) };
-            }
-        }
-    });
-}
-
-/// Runs the **delta-driven** iteration loop on the session's [`Runtime`].
-///
-/// Iteration 1 evaluates every slot; iteration `k > 1` evaluates only the
-/// dependents (per `rdep_offsets` / `rdeps`) of slots whose score changed
-/// bitwise in iteration `k−1`. Slots outside the worklist keep their
-/// previous score exactly (the update is a pure function of inputs that
-/// did not change), so results are bitwise identical to [`run_parallel`]
-/// and to the sequential loops.
-///
-/// `initial_worklist` and `approx` mirror
-/// [`run_delta`](super::iterate::run_delta): a warm-start worklist and
-/// ε-aware approximate gating. All scheduling decisions (accumulator
-/// arithmetic, threshold crossings) are made by the coordinator between
-/// dispatches from order-independent reductions, so the approximate mode
-/// is bitwise identical to its sequential counterpart too.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_parallel_delta<U>(
-    rt: &Runtime,
-    max_iters: usize,
-    epsilon: f64,
-    prev: &mut Vec<f64>,
-    cur: &mut Vec<f64>,
-    rdep_offsets: &[usize],
-    rdeps: &[u32],
-    mut record: Option<&mut super::iterate::Recorder<'_>>,
-    initial_worklist: Option<Vec<u32>>,
-    mut approx: Option<&mut super::iterate::ApproxState>,
-    update: U,
-) -> IterationOutcome
-where
-    U: Fn(usize, &[f64], &mut OpScratch) -> f64 + Sync,
-{
-    let n = prev.len();
-    debug_assert_eq!(n, cur.len());
-    if let Some(h) = record.as_deref_mut() {
-        h.push(prev);
-    }
-    if initial_worklist.is_some() {
-        // Warm start: slots outside the worklist must read through the
-        // double buffer as-is.
-        cur.copy_from_slice(prev);
-    }
-    let mut worklist = initial_worklist.unwrap_or_else(|| (0..n as u32).collect());
-    let buffers = [SharedScores::new(prev), SharedScores::new(cur)];
-    let cursor = AtomicUsize::new(0);
-    let deltas: Vec<AtomicU64> = (0..rt.threads()).map(|_| AtomicU64::new(0)).collect();
-    let changed_sink: Mutex<Vec<u32>> = Mutex::new(Vec::new());
-
-    let mut out = IterationOutcome::empty();
-    let mut read = 0usize;
-    // Slots whose score changed in the previous iteration (C_{k−1}).
-    let mut prev_changed: Vec<u32> = Vec::new();
-    // Worklist-membership marks: mark[s] == epoch ⇔ s ∈ current D_k.
-    let mut mark: Vec<u64> = vec![0; n];
-    let mut epoch = 0u64;
-    while out.iterations < max_iters {
-        let t0 = Instant::now();
-        {
-            // Repair C_{k−1} \ D_k before the dispatch: copy last
-            // iteration's value forward for changed slots that are not
-            // being re-evaluated (their two-iterations-old copy in the
-            // write buffer is stale).
-            // SAFETY: no dispatch is in flight; the coordinator has
-            // exclusive access to both buffers.
-            let read_buf = unsafe { buffers[read].as_read_slice() };
-            let write = &buffers[1 - read];
-            for &s in &prev_changed {
-                if mark[s as usize] != epoch {
-                    // SAFETY: same window — no dispatch in flight, and
-                    // `prev_changed` slots are distinct, so this is the
-                    // sole writer of `s`.
-                    unsafe { write.write(s as usize, read_buf[s as usize]) };
-                }
-            }
-        }
-        cursor.store(0, Ordering::Relaxed);
-        let chunk = chunk_size(worklist.len(), rt.threads());
-        let wl = &worklist;
-        rt.run(&|wid, ws| {
-            // SAFETY: this iteration only reads `buffers[read]` and
-            // writes disjoint worklist slots of `buffers[1 - read]`.
-            let read_buf = unsafe { buffers[read].as_read_slice() };
-            let write = &buffers[1 - read];
-            let mut local_delta = 0.0f64;
-            ws.changed.clear();
-            loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= wl.len() {
-                    break;
-                }
-                let end = (start + chunk).min(wl.len());
-                for &slot_id in &wl[start..end] {
-                    let slot = slot_id as usize;
-                    let score = update(slot, read_buf, &mut ws.scratch);
-                    let d = (score - read_buf[slot]).abs();
-                    if d > local_delta {
-                        local_delta = d;
-                    }
-                    if score.to_bits() != read_buf[slot].to_bits() {
-                        ws.changed.push(slot_id);
-                    }
-                    // SAFETY: worklist slots are handed out disjointly by
-                    // the cursor; the coordinator wrote only non-worklist
-                    // slots, before the dispatch.
-                    unsafe { write.write(slot, score) };
-                }
-            }
-            deltas[wid].store(local_delta.to_bits(), Ordering::Relaxed);
-            if !ws.changed.is_empty() {
-                changed_sink
-                    .lock()
-                    .expect("changed sink")
-                    .extend_from_slice(&ws.changed);
-            }
-        });
-        out.final_delta = deltas
-            .iter()
-            .map(|d| f64::from_bits(d.load(Ordering::Relaxed)))
-            .fold(0.0, f64::max);
-        out.pairs_evaluated.push(worklist.len());
-        out.iter_seconds.push(t0.elapsed().as_secs_f64());
-        out.iterations += 1;
-        read = 1 - read;
-        if let Some(h) = record.as_deref_mut() {
-            // SAFETY: no dispatch is in flight; the freshly written
-            // buffer is stable.
-            h.push(unsafe { buffers[read].as_read_slice() });
-        }
-        if let Some(ap) = approx.as_deref_mut() {
-            // Approximate error accounting, mirroring the sequential
-            // loop: reset evaluated slots, fold this iteration's changes
-            // into their dependents' accumulators (per-slot max —
-            // order-independent, so bitwise equal to the sequential
-            // schedule), then gate the next worklist on the threshold.
-            // Runs before the convergence check so the final accumulators
-            // certify the returned scores.
-            for &s in &worklist {
-                ap.acc[s as usize] = 0.0;
-            }
-            prev_changed.clear();
-            std::mem::swap(
-                &mut prev_changed,
-                &mut *changed_sink.lock().expect("changed sink"),
-            );
-            // SAFETY: no dispatch is in flight; both buffers are stable.
-            let new_buf = unsafe { buffers[read].as_read_slice() };
-            // SAFETY: as above — both reads share the quiescent window.
-            let old_buf = unsafe { buffers[1 - read].as_read_slice() };
-            ap.begin();
-            for &c in &prev_changed {
-                let d = (new_buf[c as usize] - old_buf[c as usize]).abs();
-                let (a, b) = (rdep_offsets[c as usize], rdep_offsets[c as usize + 1]);
-                for &dep in &rdeps[a..b] {
-                    ap.bump(dep, d);
-                }
-            }
-            epoch += 1;
-            worklist.clear();
-            ap.commit(|t| {
-                if mark[t as usize] != epoch {
-                    mark[t as usize] = epoch;
-                    worklist.push(t);
-                }
-            });
-            if out.final_delta < ap.stop_delta {
-                out.converged = true;
-                break;
-            }
-            continue;
-        }
-        if out.final_delta < epsilon {
-            out.converged = true;
+    dispatch(rt, local, &|_wid, ws| loop {
+        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+        if start >= n {
             break;
         }
-        prev_changed.clear();
-        std::mem::swap(
-            &mut prev_changed,
-            &mut *changed_sink.lock().expect("changed sink"),
-        );
-        // Next worklist: the dependents of every changed slot.
-        epoch += 1;
-        worklist.clear();
-        for &c in &prev_changed {
-            let (a, b) = (rdep_offsets[c as usize], rdep_offsets[c as usize + 1]);
-            for &dep in &rdeps[a..b] {
-                if mark[dep as usize] != epoch {
-                    mark[dep as usize] = epoch;
-                    worklist.push(dep);
-                }
-            }
+        let end = (start + chunk).min(n);
+        for (i, &slot) in worklist.iter().enumerate().take(end).skip(start) {
+            let v = update(slot as usize, prev, &mut ws.scratch);
+            // SAFETY: cursor ranges are disjoint across workers.
+            unsafe { shared_out.write(i, v) };
         }
-    }
-
-    if out.iterations % 2 == 1 {
-        std::mem::swap(prev, cur);
-    }
-    out
+    });
 }
 
 /// Parallel **trajectory replay** (see
@@ -646,8 +385,7 @@ pub(crate) fn run_parallel_replay<U>(
     epsilon: f64,
     old_traj: &[Vec<f64>],
     always_dirty: &[u32],
-    rdep_offsets: &[usize],
-    rdeps: &[u32],
+    rdeps: Rdeps<'_>,
     prev: &mut Vec<f64>,
     cur: &mut Vec<f64>,
     mut record: Option<&mut super::iterate::Recorder<'_>>,
@@ -674,7 +412,7 @@ where
     }
     for s in 0..n {
         if prev[s].to_bits() != old_traj[0][s].to_bits() {
-            for &dep in &rdeps[rdep_offsets[s]..rdep_offsets[s + 1]] {
+            for &dep in rdeps.of(s as u32) {
                 if mark[dep as usize] != epoch {
                     mark[dep as usize] = epoch;
                     worklist.push(dep);
@@ -790,7 +528,7 @@ where
             }
         }
         for &c in &changed {
-            for &dep in &rdeps[rdep_offsets[c as usize]..rdep_offsets[c as usize + 1]] {
+            for &dep in rdeps.of(c) {
                 if mark[dep as usize] != epoch {
                     mark[dep as usize] = epoch;
                     worklist.push(dep);
@@ -800,7 +538,7 @@ where
     }
 
     // Phase B: history exhausted — standard dirty-worklist iteration
-    // (the mechanics of `run_parallel_delta`), seeded from the last
+    // (the mechanics of `converge`), seeded from the last
     // two iterates.
     if !out.converged && out.iterations < max_iters {
         // SAFETY: no dispatch is in flight; both buffers are stable.
@@ -816,7 +554,7 @@ where
         epoch += 1;
         worklist.clear();
         for &c in &prev_changed {
-            for &dep in &rdeps[rdep_offsets[c as usize]..rdep_offsets[c as usize + 1]] {
+            for &dep in rdeps.of(c) {
                 if mark[dep as usize] != epoch {
                     mark[dep as usize] = epoch;
                     worklist.push(dep);
@@ -828,7 +566,7 @@ where
             let t0 = Instant::now();
             {
                 // Repair C_{k−1} \ D_k before the dispatch (disjoint
-                // slots — see `run_parallel_delta`).
+                // slots — see `converge`).
                 // SAFETY: no dispatch is in flight.
                 let read_buf = unsafe { buffers[read].as_read_slice() };
                 let write = &buffers[1 - read];
@@ -868,7 +606,7 @@ where
             epoch += 1;
             worklist.clear();
             for &c in &prev_changed {
-                for &dep in &rdeps[rdep_offsets[c as usize]..rdep_offsets[c as usize + 1]] {
+                for &dep in rdeps.of(c) {
                     if mark[dep as usize] != epoch {
                         mark[dep as usize] = epoch;
                         worklist.push(dep);
@@ -886,7 +624,23 @@ where
 
 #[cfg(test)]
 mod tests {
+    use super::super::iterate::{converge, Recorder, Schedule};
     use super::*;
+
+    /// The unsharded driver on the toy system, cold, without recording.
+    fn drive(
+        rt: Option<&Runtime>,
+        schedule: Schedule<'_>,
+        max_iters: usize,
+        epsilon: f64,
+        prev: &mut Vec<f64>,
+        cur: &mut Vec<f64>,
+        record: Option<&mut Recorder<'_>>,
+    ) -> IterationOutcome {
+        converge(
+            rt, schedule, max_iters, epsilon, prev, cur, record, None, None, toy,
+        )
+    }
 
     fn run_seq(
         scores: &mut [f64],
@@ -940,7 +694,15 @@ mod tests {
         let rt = Runtime::new(4);
         let mut par = init.clone();
         let mut par_cur = vec![0.0; n];
-        let par_out = run_parallel(&rt, 25, 1e-6, &mut par, &mut par_cur, toy);
+        let par_out = drive(
+            Some(&rt),
+            Schedule::Sweep,
+            25,
+            1e-6,
+            &mut par,
+            &mut par_cur,
+            None,
+        );
 
         assert_eq!(seq_out.iterations, par_out.iterations);
         assert_eq!(seq_out.converged, par_out.converged);
@@ -957,7 +719,15 @@ mod tests {
         let mut prev = vec![0.5; 600];
         let original = prev.clone();
         let mut cur = vec![0.0; 600];
-        let out = run_parallel(&rt, 0, 1e-3, &mut prev, &mut cur, toy);
+        let out = drive(
+            Some(&rt),
+            Schedule::Sweep,
+            0,
+            1e-3,
+            &mut prev,
+            &mut cur,
+            None,
+        );
         assert_eq!(out.iterations, 0);
         assert!(!out.converged);
         assert_eq!(prev, original);
@@ -974,7 +744,15 @@ mod tests {
             run_seq(&mut seq, &mut seq_cur, cap, 0.0, toy_update);
             let mut par = init.clone();
             let mut par_cur = vec![0.0; n];
-            let out = run_parallel(&rt, cap, 0.0, &mut par, &mut par_cur, toy);
+            let out = drive(
+                Some(&rt),
+                Schedule::Sweep,
+                cap,
+                0.0,
+                &mut par,
+                &mut par_cur,
+                None,
+            );
             assert_eq!(out.iterations, cap);
             assert_eq!(seq, par, "cap={cap}");
         }
@@ -1007,44 +785,90 @@ mod tests {
         let mut seq_cur = vec![0.0; n];
         let seq_out = run_seq(&mut seq, &mut seq_cur, 30, 1e-9, toy_update);
 
-        let (offsets, rdeps) = toy_rdeps(n);
+        let (offsets, deps) = toy_rdeps(n);
+        let rdeps = Rdeps {
+            offsets: &offsets,
+            deps: &deps,
+        };
         let rt = Runtime::new(4);
-        let mut par = init.clone();
-        let mut par_cur = vec![0.0; n];
-        let mut history: Vec<Vec<f64>> = Vec::new();
-        let mut recorder = super::super::iterate::Recorder::new(&mut history, usize::MAX);
-        let par_out = run_parallel_delta(
-            &rt,
-            30,
-            1e-9,
-            &mut par,
-            &mut par_cur,
-            &offsets,
-            &rdeps,
-            Some(&mut recorder),
-            None,
-            None,
-            toy,
-        );
-        let _ = recorder;
+        for (rt, schedule) in [
+            (Some(&rt), Schedule::Worklist(rdeps)),
+            (None, Schedule::Worklist(rdeps)),
+            (Some(&rt), Schedule::Auto(rdeps)),
+        ] {
+            let mut par = init.clone();
+            let mut par_cur = vec![0.0; n];
+            let mut history: Vec<Vec<f64>> = Vec::new();
+            let mut recorder = Recorder::new(&mut history, usize::MAX);
+            let par_out = drive(
+                rt,
+                schedule,
+                30,
+                1e-9,
+                &mut par,
+                &mut par_cur,
+                Some(&mut recorder),
+            );
+            drop(recorder);
 
-        assert_eq!(seq_out.iterations, par_out.iterations);
-        assert_eq!(seq_out.converged, par_out.converged);
-        assert_eq!(seq_out.final_delta.to_bits(), par_out.final_delta.to_bits());
-        assert_eq!(par_out.pairs_evaluated.len(), par_out.iterations);
-        assert_eq!(par_out.iter_seconds.len(), par_out.iterations);
-        assert_eq!(par_out.pairs_evaluated[0], n, "first iteration is full");
-        assert!(
-            par_out.pairs_evaluated.iter().sum::<usize>() < n * par_out.iterations,
-            "dirty scheduling must skip clean slots on this workload"
-        );
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.to_bits(), b.to_bits(), "delta runner diverged");
+            assert_eq!(seq_out.iterations, par_out.iterations);
+            assert_eq!(seq_out.converged, par_out.converged);
+            assert_eq!(seq_out.final_delta.to_bits(), par_out.final_delta.to_bits());
+            assert_eq!(par_out.pairs_evaluated.len(), par_out.iterations);
+            assert_eq!(par_out.iter_seconds.len(), par_out.iterations);
+            assert_eq!(par_out.pairs_evaluated[0], n, "first iteration is full");
+            // The frontier stays far below the crossover, so `Auto` keeps
+            // the worklist too.
+            assert!(
+                par_out.pairs_evaluated[1..].iter().all(|&p| p < n),
+                "dirty scheduling must skip clean slots on this workload"
+            );
+            for (a, b) in seq.iter().zip(&par) {
+                assert_eq!(a.to_bits(), b.to_bits(), "delta runner diverged");
+            }
+            // The recorded trajectory covers init plus every iterate.
+            assert_eq!(history.len(), par_out.iterations + 1);
+            assert_eq!(history[0], init);
+            assert_eq!(history.last().unwrap(), &par);
         }
-        // The recorded trajectory covers init plus every iterate.
-        assert_eq!(history.len(), par_out.iterations + 1);
-        assert_eq!(history[0], init);
-        assert_eq!(history.last().unwrap(), &par);
+    }
+
+    #[test]
+    fn auto_goes_dense_when_the_frontier_covers_the_csr() {
+        let n = 4096;
+        // Every slot changes every iteration: the frontier's dependents
+        // are the whole reverse CSR.
+        let init: Vec<f64> = (0..n).map(|i| (i % 97) as f64 / 97.0).collect();
+        let mut seq = init.clone();
+        let mut seq_cur = vec![0.0; n];
+        let seq_out = run_seq(&mut seq, &mut seq_cur, 12, 1e-6, toy_update);
+        let (offsets, deps) = toy_rdeps(n);
+        let rdeps = Rdeps {
+            offsets: &offsets,
+            deps: &deps,
+        };
+        let rt = Runtime::new(2);
+        let mut counts = Vec::new();
+        for (rt, schedule) in [
+            (None, Schedule::Auto(rdeps)),
+            (Some(&rt), Schedule::Auto(rdeps)),
+            (Some(&rt), Schedule::Worklist(rdeps)),
+        ] {
+            let mut par = init.clone();
+            let mut par_cur = vec![0.0; n];
+            let out = drive(rt, schedule, 12, 1e-6, &mut par, &mut par_cur, None);
+            assert_eq!(out.iterations, seq_out.iterations);
+            assert_eq!(out.final_delta.to_bits(), seq_out.final_delta.to_bits());
+            for (a, b) in seq.iter().zip(&par) {
+                assert_eq!(a.to_bits(), b.to_bits(), "schedule diverged");
+            }
+            counts.push(out.pairs_evaluated);
+        }
+        // Dense iterations report every slot, the same at any thread
+        // count; the worklist lists the same slots, in scattered order.
+        assert!(counts[0].iter().all(|&p| p == n));
+        assert_eq!(counts[0], counts[1]);
+        assert_eq!(counts[0], counts[2]);
     }
 
     #[test]
@@ -1054,24 +878,24 @@ mod tests {
         // Record the original system's trajectory.
         let mut base = init.clone();
         let mut base_cur = vec![0.0; n];
-        let (offsets, rdeps) = toy_rdeps(n);
+        let (offsets, deps) = toy_rdeps(n);
+        let rdeps = Rdeps {
+            offsets: &offsets,
+            deps: &deps,
+        };
         let rt = Runtime::new(4);
         let mut history: Vec<Vec<f64>> = Vec::new();
-        let mut recorder = super::super::iterate::Recorder::new(&mut history, usize::MAX);
-        run_parallel_delta(
-            &rt,
+        let mut recorder = Recorder::new(&mut history, usize::MAX);
+        drive(
+            Some(&rt),
+            Schedule::Worklist(rdeps),
             40,
             1e-9,
             &mut base,
             &mut base_cur,
-            &offsets,
-            &rdeps,
             Some(&mut recorder),
-            None,
-            None,
-            toy,
         );
-        let _ = recorder;
+        drop(recorder);
         // "Edit": slot 777's update function changes.
         let edited_update = |slot: usize, prev: &[f64]| {
             if slot == 777 {
@@ -1087,21 +911,20 @@ mod tests {
         let mut warm = init.clone();
         let mut warm_cur = vec![0.0; n];
         let mut new_traj: Vec<Vec<f64>> = Vec::new();
-        let mut new_rec = super::super::iterate::Recorder::new(&mut new_traj, usize::MAX);
+        let mut new_rec = Recorder::new(&mut new_traj, usize::MAX);
         let warm_out = run_parallel_replay(
             &rt,
             40,
             1e-9,
             &history,
             &[777],
-            &offsets,
-            &rdeps,
+            rdeps,
             &mut warm,
             &mut warm_cur,
             Some(&mut new_rec),
             |slot, prev, _s| edited_update(slot, prev),
         );
-        let _ = new_rec;
+        drop(new_rec);
         assert_eq!(warm_out.iterations, cold_out.iterations);
         assert_eq!(warm_out.converged, cold_out.converged);
         assert_eq!(
@@ -1123,7 +946,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_worklist_parallel_matches_sequential_order() {
+    fn eval_worklist_matches_sequential_order() {
         let n = 5000;
         let prev: Vec<f64> = (0..n).map(|i| (i % 31) as f64 / 31.0).collect();
         let worklist: Vec<u32> = (0..n as u32).step_by(3).collect();
@@ -1131,10 +954,11 @@ mod tests {
         for (i, &s) in worklist.iter().enumerate() {
             seq[i] = toy_update(s as usize, &prev);
         }
-        for threads in [2, 3, 7] {
-            let rt = Runtime::new(threads);
+        for threads in [1, 2, 3, 7] {
+            let rt = (threads > 1).then(|| Runtime::new(threads));
             let mut par = vec![0.0; worklist.len()];
-            eval_worklist_parallel(&rt, &worklist, &prev, &mut par, toy);
+            let mut local = WorkerState::new();
+            eval_worklist(rt.as_ref(), &mut local, &worklist, &prev, &mut par, toy);
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
             }
@@ -1153,7 +977,18 @@ mod tests {
         // refill `changed`, proving it is the same buffer)…
         let mut prev = vec![0.9; 2000];
         let mut cur = vec![0.0; 2000];
-        let out = run_parallel(&rt, 10, 1e-9, &mut prev, &mut cur, |_, p, _| p[0] * 0.5);
+        let out = converge(
+            Some(&rt),
+            Schedule::Sweep,
+            10,
+            1e-9,
+            &mut prev,
+            &mut cur,
+            None,
+            None,
+            None,
+            |_, p, _| p[0] * 0.5,
+        );
         assert!(out.iterations > 1, "toy system should iterate");
         // …and the scratch allocations observed afterwards are the ones
         // from before: no per-run reallocation means capacity is retained.

@@ -16,8 +16,8 @@ use super::edits::{
     net_side_delta, validate_side, DirtyNodes, EditError, GraphEdit, GraphSide, SideDelta,
 };
 use super::iterate::{
-    effective_threads, init_score, initialize, pair_update, run_delta, run_replay, run_sweep_slots,
-    run_to_convergence, ApproxState, Recorder,
+    converge, effective_threads, init_score, initialize, pair_update, run_replay,
+    run_to_convergence, ApproxState, Recorder, Schedule,
 };
 use super::parallel::{run_parallel_replay, Runtime};
 use super::shards::{auto_shard_count, forced_shards, run_sharded, ShardState};
@@ -664,7 +664,11 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             && self.cfg.convergence != ConvergenceMode::FullSweep)
             || self.shards.is_some();
         self.ensure_runtime();
-        let mut recorded: Option<Vec<Vec<f64>>> = self.should_record().then(Vec::new);
+        // The previous run's trajectory is superseded; its buffers take
+        // this run's iterates.
+        let previous = self.trajectory.take();
+        let mut recorded: Option<Vec<Vec<f64>>> =
+            self.should_record().then(|| previous.unwrap_or_default());
         // ε-aware approximate scheduling is active only when a slot-based
         // substrate is available (operators without a slot path fall back
         // to the exact full sweep, error bound 0).
@@ -723,25 +727,28 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             outcome
         } else {
             match deps {
-                Some(csr) if cfg.convergence == ConvergenceMode::FullSweep => {
-                    run_sweep_slots(cfg, op, store, csr, label_terms, scores, cur, rt)
-                }
                 Some(csr) => {
+                    let schedule = match cfg.convergence {
+                        ConvergenceMode::FullSweep => Schedule::Sweep,
+                        ConvergenceMode::Auto => Schedule::Auto(csr.reverse()),
+                        _ => Schedule::Worklist(csr.reverse()),
+                    };
                     let mut recorder = recorded
                         .as_mut()
                         .map(|h| Recorder::new(h, cfg.trajectory_budget));
-                    run_delta(
-                        cfg,
-                        op,
-                        store,
-                        csr,
-                        label_terms,
+                    converge(
+                        rt,
+                        schedule,
+                        cfg.effective_max_iters(),
+                        cfg.epsilon,
                         scores,
                         cur,
                         recorder.as_mut(),
                         None,
                         approx_state.as_mut(),
-                        rt,
+                        |slot: usize, prev: &[f64], scratch: &mut OpScratch| {
+                            csr.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot])
+                        },
                     )
                 }
                 None => {
@@ -1291,18 +1298,19 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                     outcome
                 } else {
                     let csr = deps.as_ref().expect("substrate checked above");
-                    run_delta(
-                        cfg,
-                        op,
-                        store,
-                        csr,
-                        label_terms,
+                    converge(
+                        rt,
+                        Schedule::Worklist(csr.reverse()),
+                        cfg.effective_max_iters(),
+                        cfg.epsilon,
                         scores,
                         cur,
                         None,
                         Some(worklist),
                         Some(&mut state),
-                        rt,
+                        |slot: usize, prev: &[f64], scratch: &mut OpScratch| {
+                            csr.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot])
+                        },
                     )
                 }
             };
@@ -1363,8 +1371,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                     cfg.epsilon,
                     &old_traj,
                     &always_dirty,
-                    csr.rdep_offsets(),
-                    csr.rdeps(),
+                    csr.reverse(),
                     scores,
                     cur,
                     recorder.as_mut(),
@@ -1528,7 +1535,11 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
         (secs > 0.0 && pairs > 0).then(|| pairs as f64 / secs)
     }
 
-    /// Whether the last run used delta-driven (dirty-pair) scheduling.
+    /// Whether the last run used delta-driven (dirty-pair) scheduling —
+    /// true for `Auto` runs on a CSR or shard plan even when every
+    /// iteration chose the dense sweep (see
+    /// [`ConvergenceMode::Auto`]; [`pairs_evaluated`](Self::pairs_evaluated)
+    /// shows the per-iteration choice).
     pub fn delta_scheduled(&self) -> bool {
         self.delta_scheduled
     }

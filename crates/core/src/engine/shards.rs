@@ -41,10 +41,10 @@
 //! of [`ApproxState::error_bound`] holds unchanged.
 
 use super::deps::{MappedShardCsr, ShardCsr};
-use super::iterate::{effective_threads, ApproxState};
-use super::parallel::{eval_worklist_parallel, IterationOutcome, Runtime};
-use crate::config::{FsimConfig, ShardSpec};
-use crate::operators::{DepEntry, OpCtx, OpScratch, Operator};
+use super::iterate::{dense_pays, effective_threads, ApproxState};
+use super::parallel::{eval_worklist, IterationOutcome, Runtime, WorkerState};
+use crate::config::{ConvergenceMode, FsimConfig, ShardSpec};
+use crate::operators::{DepEntry, OpCtx, Operator};
 use crate::store::PairStore;
 use fsim_graph::Graph;
 use fsim_snapshot::SnapshotError;
@@ -149,13 +149,20 @@ impl ShardPlan {
 /// Masks are filled as a byproduct of shard-CSR builds during a sweep
 /// that visits *every* shard (the first sweep of a run, or the first
 /// after [`reset`](Self::reset)); until then `complete` is `false` and
-/// the driver conservatively visits all shards. Masks may safely be a
+/// the driver conservatively visits all shards. The same sweep counts
+/// each slot's reverse degree — the entries across all shards that read
+/// it, exactly its reverse-CSR row length when unsharded — so `Auto` can
+/// apply [`dense_pays`] without a reverse CSR. Masks may safely be a
 /// *superset* of the true reader sets — extra bits cost an unnecessary
 /// shard visit that evaluates nothing, missing bits would break bitwise
 /// identity — which is why any edit that re-derives dependency entries
 /// resets the table.
 pub(crate) struct BoundaryTable {
     read_by: Vec<u64>,
+    /// Per slot, the dependency entries (of any shard) that read it.
+    rdeg: Vec<u32>,
+    /// `Σ rdeg`: the entry count of the unsharded reverse CSR.
+    entries: usize,
     complete: bool,
 }
 
@@ -163,14 +170,18 @@ impl BoundaryTable {
     fn new(n: usize) -> Self {
         Self {
             read_by: vec![0; n],
+            rdeg: vec![0; n],
+            entries: 0,
             complete: false,
         }
     }
 
-    /// Invalidates the masks (dependency entries changed under the same
-    /// slot numbering); the next run's first sweep rebuilds them.
+    /// Invalidates the masks and degrees (dependency entries changed under
+    /// the same slot numbering); the next run's first sweep rebuilds them.
     pub(crate) fn reset(&mut self) {
-        self.read_by.iter_mut().for_each(|m| *m = 0);
+        self.read_by.fill(0);
+        self.rdeg.fill(0);
+        self.entries = 0;
         self.complete = false;
     }
 }
@@ -364,7 +375,10 @@ fn full_mask(k: usize) -> u64 {
 /// buffer. `initial_worklist` replaces the evaluate-everything first
 /// sweep (the approximate edit warm restart); `approx` switches on
 /// ε-aware scheduling exactly as in
-/// [`run_delta`](super::iterate::run_delta).
+/// [`converge`](super::iterate::converge). Under `Auto`, an iteration
+/// whose changed frontier passes [`dense_pays`] — on the degrees the
+/// boundary table counted — visits every shard and evaluates every slot,
+/// the choice the unsharded driver makes on the same counts.
 ///
 /// Returns the outcome plus the **peak resident shard-CSR bytes** — the
 /// largest single shard structure held at any point of the run.
@@ -411,9 +425,10 @@ pub(crate) fn run_sharded<O: Operator>(
     let mut epoch = 0u64;
     let mut delta_of: Vec<f64> = vec![0.0; n];
 
+    let auto = cfg.convergence == ConvergenceMode::Auto && approx.is_none();
     let mut local_wl: Vec<u32> = Vec::new();
     let mut eval_out: Vec<f64> = Vec::new();
-    let mut scratch = OpScratch::new();
+    let mut local = WorkerState::new();
     let mut peak_bytes = 0usize;
     let mut iterations = 0usize;
     let mut converged = false;
@@ -425,11 +440,16 @@ pub(crate) fn run_sharded<O: Operator>(
         let t0 = Instant::now();
         let first = iterations == 0;
         let filling_masks = !state.boundary.complete;
-        // Shards to visit: all of them while the masks are incomplete or
-        // on a cold first sweep; the union of the changed frontier's
-        // reader masks afterwards. A warm first sweep visits only the
-        // shards owning worklist slots.
-        let visit: u64 = if filling_masks {
+        let dense = auto && !first && !filling_masks && {
+            let b = &state.boundary;
+            let frontier: usize = changed.iter().map(|&c| b.rdeg[c as usize] as usize).sum();
+            dense_pays(n, frontier, b.entries)
+        };
+        // Shards to visit: all of them while the masks are incomplete, on
+        // a cold first sweep or a dense iteration; the union of the
+        // changed frontier's reader masks otherwise. A warm first sweep
+        // visits only the shards owning worklist slots.
+        let visit: u64 = if filling_masks || dense {
             full_mask(k)
         } else if first {
             match initial_worklist {
@@ -453,7 +473,7 @@ pub(crate) fn run_sharded<O: Operator>(
         // Publish C_{k−1} membership and repair the double buffer: a slot
         // that changed last iteration but is not re-evaluated now still
         // holds its two-iterations-old value in `cur` (evaluated slots
-        // overwrite their copy below) — exactly `run_delta`'s repair.
+        // overwrite their copy below) — exactly `converge`'s repair.
         epoch += 1;
         for &c in &changed {
             mark[c as usize] = epoch;
@@ -474,10 +494,13 @@ pub(crate) fn run_sharded<O: Operator>(
             let csr = obtain_shard_csr(&mut state.spill, shard, g1, g2, ctx, store, op, lo, hi);
             peak_bytes = peak_bytes.max(csr.bytes());
             if filling_masks {
+                let b = &mut state.boundary;
                 for slot in lo..hi {
                     for e in csr.deps_of(slot) {
                         if e.slot != DepEntry::CONST {
-                            state.boundary.read_by[e.slot as usize] |= 1u64 << shard;
+                            b.read_by[e.slot as usize] |= 1u64 << shard;
+                            b.rdeg[e.slot as usize] += 1;
+                            b.entries += 1;
                         }
                     }
                 }
@@ -485,8 +508,9 @@ pub(crate) fn run_sharded<O: Operator>(
 
             // The shard's local worklist for this sweep.
             local_wl.clear();
-            if first {
-                match &warm_on {
+            if first || dense {
+                // A warm first sweep takes only the worklist slots.
+                match warm_on.as_ref().filter(|_| first) {
                     Some(on) => {
                         local_wl.extend((lo..hi).filter(|&s| on[s]).map(|s| s as u32));
                     }
@@ -530,58 +554,31 @@ pub(crate) fn run_sharded<O: Operator>(
             // bit). The session runtime is used only when the worklist is
             // long enough to amortize a dispatch.
             let use_rt = rt.filter(|_| effective_threads(cfg.threads, local_wl.len()) > 1);
-            if let Some(rt) = use_rt {
-                eval_out.clear();
-                eval_out.resize(local_wl.len(), 0.0);
-                eval_worklist_parallel(
-                    rt,
-                    &local_wl,
-                    scores,
-                    &mut eval_out,
-                    |slot, prev, scratch| {
-                        csr.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot])
-                    },
-                );
-                for (i, &slot_id) in local_wl.iter().enumerate() {
-                    let slot = slot_id as usize;
-                    let s = eval_out[i];
-                    let d = (s - scores[slot]).abs();
-                    if d > delta {
-                        delta = d;
-                    }
-                    if s.to_bits() != scores[slot].to_bits() {
-                        next_changed.push(slot_id);
-                        delta_of[slot] = d;
-                    }
-                    cur[slot] = s;
-                    if let Some(ap) = approx.as_deref_mut() {
-                        ap.acc[slot] = 0.0;
-                    }
+            eval_out.clear();
+            eval_out.resize(local_wl.len(), 0.0);
+            eval_worklist(
+                use_rt,
+                &mut local,
+                &local_wl,
+                scores,
+                &mut eval_out,
+                |slot, prev, scratch| {
+                    csr.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot])
+                },
+            );
+            for (&slot_id, &s) in local_wl.iter().zip(&eval_out) {
+                let slot = slot_id as usize;
+                let d = (s - scores[slot]).abs();
+                if d > delta {
+                    delta = d;
                 }
-            } else {
-                for &slot_id in &local_wl {
-                    let slot = slot_id as usize;
-                    let s = csr.eval_slot(
-                        cfg,
-                        op,
-                        store,
-                        slot,
-                        scores,
-                        &mut scratch,
-                        label_terms[slot],
-                    );
-                    let d = (s - scores[slot]).abs();
-                    if d > delta {
-                        delta = d;
-                    }
-                    if s.to_bits() != scores[slot].to_bits() {
-                        next_changed.push(slot_id);
-                        delta_of[slot] = d;
-                    }
-                    cur[slot] = s;
-                    if let Some(ap) = approx.as_deref_mut() {
-                        ap.acc[slot] = 0.0;
-                    }
+                if s.to_bits() != scores[slot].to_bits() {
+                    next_changed.push(slot_id);
+                    delta_of[slot] = d;
+                }
+                cur[slot] = s;
+                if let Some(ap) = approx.as_deref_mut() {
+                    ap.acc[slot] = 0.0;
                 }
             }
             evaluated += local_wl.len();

@@ -521,7 +521,7 @@ fn slots_injective_sum(
 // multi-stream accumulation, software prefetch) came out 4–40% *slower* on
 // the real delta workload. The vectorization that pays for the variant
 // operators lives one level up: the engine routes full sweeps through the
-// CSR's contiguous slot-indexed buffers (`run_sweep_slots`) instead of
+// CSR's contiguous slot-indexed buffers (`converge`'s dense iterations) instead of
 // on-the-fly neighbor enumeration with hash-map score lookups, and the CSR
 // build reorders each slot's entries and folds constant runs
 // (`Operator::fold_const_rows`) so those loops stream forward.

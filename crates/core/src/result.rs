@@ -107,10 +107,11 @@ impl FsimResult {
         self.error_bound
     }
 
-    /// Pairs re-evaluated per iteration: `|H|` every iteration under the
-    /// full sweep, the dirty-worklist length under delta-driven
-    /// scheduling — the work saved by dirty scheduling is
-    /// `|H| · iterations − total_pairs_evaluated()`.
+    /// Pairs re-evaluated per iteration: `|H|` for a dense iteration
+    /// (every iteration of the full sweep, and those where
+    /// [`ConvergenceMode::Auto`](crate::ConvergenceMode::Auto) chose to
+    /// sweep), the dirty-worklist length otherwise — the work saved by
+    /// dirty scheduling is `|H| · iterations − total_pairs_evaluated()`.
     ///
     /// ```
     /// use fsim_core::{compute, ConvergenceMode, FsimConfig, Variant};
@@ -136,7 +137,9 @@ impl FsimResult {
     }
 
     /// Wall-clock seconds per iteration of the producing run, aligned
-    /// with [`pairs_evaluated`](Self::pairs_evaluated).
+    /// with [`pairs_evaluated`](Self::pairs_evaluated). Each entry covers
+    /// the whole iteration: choosing and building its worklist, the
+    /// evaluation, trajectory recording and approximate accounting.
     pub fn iteration_seconds(&self) -> &[f64] {
         &self.iter_seconds
     }

@@ -19,10 +19,40 @@ fn write_sample_graphs(dir: &std::path::Path) -> (String, String) {
     )
 }
 
-fn tempdir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("fsim-cli-test-{}", std::process::id()));
+/// A scratch directory private to one test, removed when it drops. The
+/// tests of this binary run concurrently and each writes its own
+/// `g1.txt`/`g2.txt`, so no two may share a directory: the name carries
+/// the test's name (the harness names each test's thread after it) plus a
+/// process-wide counter.
+struct TempDir(std::path::PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = std::path::Path;
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+fn tempdir() -> TempDir {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let test = std::thread::current()
+        .name()
+        .unwrap_or("unnamed")
+        .replace("::", "-");
+    let dir = std::env::temp_dir().join(format!(
+        "fsim-cli-test-{}-{test}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TempDir(dir)
 }
 
 #[test]
