@@ -11,7 +11,8 @@ use crate::config::FsimConfig;
 use crate::engine::parallel::Runtime;
 use crate::operators::{OpCtx, Operator};
 use crate::store::{Fallback, PairIndex, PairStore};
-use fsim_graph::{pair_key, FxHashMap, Graph, NodeId};
+use fsim_graph::{pair_key, FxHashMap, Graph, LabelId, NodeId};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// Minimum candidate pairs per worker before bound evaluation parallelizes
@@ -70,7 +71,7 @@ pub(crate) fn enumerate_candidates_with<O: Operator>(
     rt: Option<&Runtime>,
 ) -> PairStore {
     let base: Vec<(NodeId, NodeId)> = if cfg.theta > 0.0 {
-        theta_candidates(g1, g2, ctx, cfg.theta)
+        theta_candidates(ctx, cfg.theta)
     } else {
         (0..g1.node_count() as u32)
             .flat_map(|u| (0..g2.node_count() as u32).map(move |v| (u, v)))
@@ -148,7 +149,7 @@ pub(crate) fn enumerate_candidates_with<O: Operator>(
             }
             if cfg.theta <= 0.0 && kept.len() == g1.node_count() * g2.node_count() {
                 // The bound pruned nothing: keep the dense fast path
-                // instead of paying hashed lookups for a full cross
+                // instead of paying row searches for a full cross
                 // product.
                 kept.sort_unstable();
                 return PairStore {
@@ -356,12 +357,7 @@ pub(crate) fn repair_candidates<O: Operator>(
     let index = if removed_pairs.is_empty() && added_pairs.is_empty() {
         old.index // slot numbering survived
     } else {
-        let mut map: FxHashMap<u64, u32> = FxHashMap::default();
-        map.reserve(new_pairs.len());
-        for (i, &(u, v)) in new_pairs.iter().enumerate() {
-            map.insert(pair_key(u, v), i as u32);
-        }
-        PairIndex::Sparse(map)
+        PairIndex::sparse(&new_pairs)
     };
 
     StoreRepair {
@@ -380,32 +376,33 @@ pub(crate) fn repair_candidates<O: Operator>(
 fn sparse_store(mut pairs: Vec<(NodeId, NodeId)>, fallback: Fallback) -> PairStore {
     pairs.sort_unstable();
     pairs.dedup();
-    let mut map: FxHashMap<u64, u32> = FxHashMap::default();
-    map.reserve(pairs.len());
-    for (i, &(u, v)) in pairs.iter().enumerate() {
-        map.insert(pair_key(u, v), i as u32);
-    }
     PairStore {
+        index: PairIndex::sparse(&pairs),
         pairs,
-        index: PairIndex::Sparse(map),
         fallback,
     }
 }
 
 /// Pairs with `L(u, v) ≥ θ`, enumerated per label-bucket pair so that the
 /// common indicator/θ=1 case costs `Σ_l |bucket1(l)|·|bucket2(l)|` instead of
-/// `|V1|·|V2|`.
-fn theta_candidates(g1: &Graph, g2: &Graph, ctx: &OpCtx<'_>, theta: f64) -> Vec<(NodeId, NodeId)> {
-    let buckets1 = g1.label_buckets();
-    let buckets2 = g2.label_buckets();
-    let used1 = g1.used_labels();
-    let used2 = g2.used_labels();
+/// `|V1|·|V2|`. Buckets key on the context's aligned labels — the ids the
+/// label evaluation reads — not on each graph's own interner ids, which
+/// differ when the graphs were built over separate interners.
+fn theta_candidates(ctx: &OpCtx<'_>, theta: f64) -> Vec<(NodeId, NodeId)> {
+    let buckets = |labels: &[LabelId]| {
+        let mut by_label: BTreeMap<LabelId, Vec<NodeId>> = BTreeMap::new();
+        for (u, &l) in (0..).zip(labels) {
+            by_label.entry(l).or_default().push(u);
+        }
+        by_label
+    };
+    let (buckets1, buckets2) = (buckets(ctx.labels1), buckets(ctx.labels2));
     let mut pairs = Vec::new();
-    for &l1 in &used1 {
-        for &l2 in &used2 {
+    for (&l1, nodes1) in &buckets1 {
+        for (&l2, nodes2) in &buckets2 {
             if ctx.label_eval.sim(l1, l2) >= theta {
-                for &u in &buckets1[l1.index()] {
-                    for &v in &buckets2[l2.index()] {
+                for &u in nodes1 {
+                    for &v in nodes2 {
                         pairs.push((u, v));
                     }
                 }
@@ -470,6 +467,20 @@ mod tests {
         let store = enumerate_candidates(&g1, &g2, &c, &cfg, &op);
         // A–A and B–B only.
         assert_eq!(store.pairs, vec![(0, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn theta_filter_reads_aligned_labels_across_interners() {
+        // Separate interners number the labels differently ("z" and "a"
+        // are both id 0 on their own side); the filter must compare the
+        // aligned labels, so only the a–a pair survives θ = 1.
+        let g1 = fsim_graph::graph_from_parts(&["z", "a"], &[(0, 1)]);
+        let g2 = fsim_graph::graph_from_parts(&["a", "b"], &[(0, 1)]);
+        let cfg = FsimConfig::new(Variant::Simple).theta(1.0);
+        let mut engine = crate::FsimEngine::new(&g1, &g2, &cfg).unwrap();
+        engine.run();
+        let pairs: Vec<_> = engine.iter_pairs().map(|(u, v, _)| (u, v)).collect();
+        assert_eq!(pairs, vec![(1, 0)]);
     }
 
     #[test]

@@ -912,11 +912,12 @@ fn push_direction(
 ) {
     for (i, &x) in s1.iter().enumerate() {
         const_buf.clear();
+        let row = store.row(x);
         for (j, &y) in s2.iter().enumerate() {
             if !all_pairs && !ctx.eligible(x, y) {
                 continue;
             }
-            match store.resolve(x, y) {
+            match row.resolve(y) {
                 PairRef::Slot(s) => entries.push(DepEntry {
                     i: i as u32,
                     j: j as u32,

@@ -41,7 +41,7 @@ use crate::engine::session::{FsimEngine, RestoredParts};
 use crate::operators::VariantOp;
 use crate::store::{Fallback, PairIndex, PairStore};
 use fsim_graph::csr::Csr;
-use fsim_graph::{pair_key, FxHashMap, Graph, LabelId, LabelInterner};
+use fsim_graph::{FxHashMap, Graph, LabelId, LabelInterner};
 use fsim_labels::LabelFn;
 use fsim_snapshot::cursor::{put_f64_slice, put_u32_slice, put_usize_slice};
 use fsim_snapshot::writer::{put_f64, put_u32, put_u64, put_u8, put_usize, SnapshotBuilder};
@@ -627,8 +627,8 @@ fn encode_store(buf: &mut Vec<u8>, store: &PairStore) {
             put_u32(buf, *n2);
         }
         PairIndex::Sparse(_) => {
-            // The map is exactly {pair_key(pairs[i]) → i}; rebuilt from
-            // the pair list on restore.
+            // The row offsets are a function of the sorted pair list;
+            // rebuilt from it on restore.
             put_u32(buf, 1);
             put_u32(buf, 0);
         }
@@ -675,6 +675,18 @@ fn decode_store(bytes: &[u8], g1: &Graph, g2: &Graph) -> Result<PairStore, Snaps
             format!("pair ({u}, {v}) out of graph range ({n1} × {n2} nodes)"),
         ));
     }
+    // Both indexes resolve through the pair order (dense: row-major;
+    // sparse: binary search within a row), so unsorted or duplicated
+    // pairs would silently mis-resolve rather than fail.
+    if let Some(w) = pairs.windows(2).find(|w| w[0] >= w[1]) {
+        return Err(malformed(
+            "store",
+            format!(
+                "pairs not strictly ascending: ({}, {}) then ({}, {})",
+                w[0].0, w[0].1, w[1].0, w[1].1
+            ),
+        ));
+    }
     let index = match cur.u32()? {
         0 => {
             let stored_n2 = cur.u32()?;
@@ -691,19 +703,10 @@ fn decode_store(bytes: &[u8], g1: &Graph, g2: &Graph) -> Result<PairStore, Snaps
         }
         1 => {
             cur.u32()?; // reserved
-            if pairs.len() > u32::MAX as usize {
+            if u32::try_from(pairs.len()).is_err() {
                 return Err(malformed("store", "sparse index exceeds u32 slot space"));
             }
-            // Sized up front: growth-rehashing this map dominated
-            // restore before (`BENCH_snapshot.json`'s restore gate).
-            let mut map = FxHashMap::with_capacity_and_hasher(pairs.len(), Default::default());
-            for (i, &(u, v)) in pairs.iter().enumerate() {
-                // lint:allow(lossy-cast-in-core): pairs.len() is checked against u32 slot space just above
-                if map.insert(pair_key(u, v), i as u32).is_some() {
-                    return Err(malformed("store", format!("duplicate pair ({u}, {v})")));
-                }
-            }
-            PairIndex::Sparse(map)
+            PairIndex::sparse(&pairs)
         }
         t => return Err(malformed("store", format!("unknown index tag {t}"))),
     };

@@ -126,14 +126,7 @@ impl ScoreSnapshot {
     /// The `k` best-scoring right-nodes for a left node `u`, sorted by
     /// descending score (ties broken by node id).
     pub fn top_k_for_left(&self, u: NodeId, k: usize) -> Vec<(NodeId, f64)> {
-        let mut row: Vec<(NodeId, f64)> = self
-            .iter_pairs()
-            .filter(|&(x, _, _)| x == u)
-            .map(|(_, v, s)| (v, s))
-            .collect();
-        row.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        row.truncate(k);
-        row
+        crate::topk::top_k_in_row(&self.store, &self.scores, u, k)
     }
 
     /// Iterations the producing run executed.
@@ -176,10 +169,10 @@ impl ScoreSnapshot {
         let pairs = self.store.pairs.len() * std::mem::size_of::<(NodeId, NodeId)>();
         let scores = self.scores.len() * std::mem::size_of::<f64>();
         let index = match &self.store.index {
+            // The dense index is arithmetic: nothing on the heap.
             PairIndex::Dense { .. } => 0,
-            // Key (u64) + value (u32) per entry; bucket overhead ignored —
-            // the estimate only needs to be a deterministic Θ(|H|) figure.
-            PairIndex::Sparse(map) => map.len() * 12,
+            // Row offsets plus one column id per slot.
+            PairIndex::Sparse(rows) => rows.heap_bytes(),
         };
         let fallback = match &self.store.fallback {
             Fallback::Zero => 0,
@@ -256,6 +249,53 @@ mod tests {
 
     fn cfg() -> FsimConfig {
         FsimConfig::new(Variant::Bijective).label_fn(LabelFn::Indicator)
+    }
+
+    /// `top_k_for_left` reads row `u` only; it must agree with a filter
+    /// over the whole pair stream on dense and sparse stores, for an
+    /// empty row and for `u ≥ |V1|`.
+    #[test]
+    fn top_k_for_left_matches_full_scan() {
+        let (g2, _) = graphs();
+        // g1 = g2 behind an extra node 0 whose label g2 lacks, so row 0
+        // is empty once θ = 1 prunes cross-label pairs.
+        let labels: Vec<String> = std::iter::once("z".to_string())
+            .chain((0..24).map(|i| ["a", "b", "c"][i % 3].to_string()))
+            .collect();
+        let names: Vec<&str> = labels.iter().map(|s| s.as_str()).collect();
+        let edges: Vec<(u32, u32)> = g2.edges().map(|(u, v)| (u + 1, v + 1)).collect();
+        let g1 = graph_from_parts(&names, &edges);
+        let full_scan = |pairs: Vec<(NodeId, NodeId, f64)>, u: NodeId, k: usize| {
+            let mut row: Vec<(NodeId, f64)> = pairs
+                .into_iter()
+                .filter(|&(x, _, _)| x == u)
+                .map(|(_, v, s)| (v, s))
+                .collect();
+            row.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            row.truncate(k);
+            row
+        };
+        for theta in [0.0, 1.0] {
+            let mut engine = FsimEngine::new(&g1, &g2, &cfg().theta(theta)).unwrap();
+            engine.run();
+            let result = engine.snapshot();
+            let snap = engine.snapshot_shared();
+            let sparse = matches!(snap.store.index, PairIndex::Sparse(_));
+            assert_eq!(sparse, theta > 0.0, "θ = {theta} picks the wrong index");
+            for u in [0, 1, 7, 24, 25, 1000] {
+                for k in [0, 1, 3, 100] {
+                    let want = full_scan(result.iter_pairs().collect(), u, k);
+                    assert_eq!(result.top_k_for_left(u, k), want, "result u={u} k={k}");
+                    assert_eq!(snap.top_k_for_left(u, k), want, "snapshot u={u} k={k}");
+                    let expect_empty = k == 0 || u >= 25 || (sparse && u == 0);
+                    assert_eq!(
+                        want.is_empty(),
+                        expect_empty,
+                        "θ = {theta}, u = {u}, k = {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use crate::config::{FsimConfig, UpperBoundPruning};
 use crate::engine::FsimEngine;
 use crate::result::FsimResult;
+use crate::store::PairStore;
 use fsim_graph::{Graph, NodeId};
 
 /// Result of a certified top-k search.
@@ -103,6 +104,26 @@ where
     heap.into_sorted_vec()
         .into_iter()
         .map(|Reverse(r)| (r.u, r.v, r.score))
+        .collect()
+}
+
+/// The `k` best-scoring right-nodes of left node `u`, descending by
+/// score (ties broken by node id). Reads only row `u`'s slot range; a
+/// `u` with no maintained pair (or past `|V1|`) yields an empty list.
+pub(crate) fn top_k_in_row(
+    store: &PairStore,
+    scores: &[f64],
+    u: NodeId,
+    k: usize,
+) -> Vec<(NodeId, f64)> {
+    let range = store.index.row_range(u);
+    let (Some(pairs), Some(scores)) = (store.pairs.get(range.clone()), scores.get(range)) else {
+        return Vec::new();
+    };
+    let row = pairs.iter().zip(scores).map(|(&(u, v), &s)| (u, v, s));
+    top_k_from_iter(row, k, false)
+        .into_iter()
+        .map(|(_, v, s)| (v, s))
         .collect()
 }
 

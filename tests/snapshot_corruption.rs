@@ -6,7 +6,7 @@
 
 use fsim::prelude::*;
 use fsim_core::{scan_snapshot_dir, FsimEngine, SnapshotError};
-use fsim_snapshot::{SnapshotFile, FORMAT_VERSION, MAGIC};
+use fsim_snapshot::{SnapshotBuilder, SnapshotFile, FORMAT_VERSION, MAGIC};
 use std::path::{Path, PathBuf};
 
 /// The section registry from `docs/SNAPSHOT.md`, re-declared here so a
@@ -162,6 +162,61 @@ fn payload_corruption_names_the_damaged_section() {
             msg.contains(&name),
             "corrupting section {name:?} produced an error that does not name it: {msg}"
         );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Re-encodes `bytes` with the store section's payload rewritten by
+/// `edit`. Every checksum is recomputed, so only the engine's own store
+/// validation stands between the mutant and a successful restore.
+fn with_store_payload(bytes: &[u8], edit: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+    let file = SnapshotFile::from_bytes(bytes, KNOWN).expect("good bytes validate");
+    let mut out = SnapshotBuilder::new();
+    for meta in file.sections() {
+        let payload = out.section(meta.id);
+        payload.extend_from_slice(file.section(meta.id).expect("validated section"));
+        if meta.name == "store" {
+            edit(payload);
+        }
+    }
+    out.to_bytes()
+}
+
+/// The store's pairs must be strictly ascending: the slot index resolves
+/// through that order, so a checksum-valid file with pairs out of order
+/// or repeated would otherwise restore and silently mis-resolve.
+#[test]
+fn unsorted_or_duplicate_store_pairs_are_rejected() {
+    let dir = scratch("store-order");
+    let bytes = good_bytes();
+    assert_eq!(
+        with_store_payload(&bytes, |_| {}),
+        bytes,
+        "re-encoding must be faithful"
+    );
+    // Store payload: pair count (u64), then each pair as (u32 u, u32 v).
+    let pair = |i: usize| 8 + 8 * i..16 + 8 * i;
+    let store_pairs = |p: &[u8]| u64::from_le_bytes(p[..8].try_into().expect("8 bytes"));
+    let swapped = with_store_payload(&bytes, |p| {
+        assert!(store_pairs(p) >= 2, "the test needs two store pairs");
+        let first: [u8; 8] = p[pair(0)].try_into().expect("8 bytes");
+        p.copy_within(pair(1), pair(0).start);
+        p[pair(1)].copy_from_slice(&first);
+    });
+    let duplicated = with_store_payload(&bytes, |p| p.copy_within(pair(0), pair(1).start));
+    for (case, mutant) in [("swapped", swapped), ("duplicated", duplicated)] {
+        let err = try_restore(&dir, &mutant).expect_err("out-of-order store pairs must fail");
+        assert!(
+            matches!(
+                err,
+                SnapshotError::Malformed {
+                    section: "store",
+                    ..
+                }
+            ),
+            "{case} store pairs: wrong error {err:?}"
+        );
+        assert!(err.to_string().contains("store"), "{case}: {err}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
