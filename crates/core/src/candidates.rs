@@ -173,11 +173,20 @@ pub(crate) fn enumerate_candidates_with<O: Operator>(
 pub fn estimated_dep_entries(g1: &Graph, g2: &Graph, store: &PairStore) -> u128 {
     let mut total: u128 = 0;
     for &(u, v) in &store.pairs {
-        let out = g1.out_degree(u) as u128 * g2.out_degree(v) as u128;
-        let inn = g1.in_degree(u) as u128 * g2.in_degree(v) as u128;
-        total += out + inn;
+        let (out, inn) = dep_bounds(g1, g2, u, v);
+        total += out as u128 + inn as u128;
     }
     total
+}
+
+/// The degree-product bounds `(d⁺(u)·d⁺(v), d⁻(u)·d⁻(v))` on pair
+/// `(u, v)`'s out- and in-direction dependency lists. Degrees are below
+/// `2³²` (node ids are `u32`), so each product fits a 64-bit `usize`.
+pub(crate) fn dep_bounds(g1: &Graph, g2: &Graph, u: NodeId, v: NodeId) -> (usize, usize) {
+    (
+        g1.out_degree(u) * g2.out_degree(v),
+        g1.in_degree(u) * g2.in_degree(v),
+    )
 }
 
 /// Sentinel slot value in [`StoreRepair`] remap tables: removed / added.

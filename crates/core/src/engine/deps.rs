@@ -18,11 +18,16 @@
 //! property-checks this across variants, θ, pruning and thread counts).
 
 use super::iterate::Rdeps;
+use super::parallel::{dispatch, Runtime, WorkerState};
+use crate::candidates::{dep_bounds, NO_SLOT};
 use crate::config::FsimConfig;
 use crate::operators::{DepEntry, OpCtx, OpScratch, Operator};
 use crate::store::{PairRef, PairStore};
-use fsim_graph::Graph;
+use fsim_graph::{Graph, NodeId};
 use fsim_snapshot::SnapshotError;
+use std::mem::MaybeUninit;
+use std::ops::Range;
+use std::sync::{atomic::AtomicUsize, atomic::Ordering, Mutex};
 
 /// Rough per-entry footprint in bytes (one [`DepEntry`] plus its reverse
 /// edge), used with [`crate::candidates::estimated_dep_entries`] to check
@@ -33,6 +38,10 @@ pub(crate) const BYTES_PER_ENTRY: u128 = (std::mem::size_of::<DepEntry>() + 4) a
 /// the stored neighborhood dimensions.
 pub(crate) const BYTES_PER_SLOT: u128 = 48;
 
+/// Chunks per runtime worker in [`DepSource::fill_rows`]: enough for the
+/// atomic cursor to even out bounds that overstate entries unevenly.
+const CHUNKS_PER_WORKER: usize = 4;
+
 /// The flattened, θ-prefiltered dependency structure of a candidate store
 /// (see the module docs). Valid exactly as long as the store it was built
 /// from: the entries depend on the candidate set, the eligibility
@@ -40,16 +49,8 @@ pub(crate) const BYTES_PER_SLOT: u128 = 48;
 /// store is rebuilt.
 #[derive(Debug, PartialEq)]
 pub(crate) struct PairDepCsr {
-    /// Slot → range of `out_entries` (length `n + 1`).
-    out_offsets: Vec<usize>,
-    /// Slot → range of `in_entries` (length `n + 1`).
-    in_offsets: Vec<usize>,
-    /// Out-neighbor-pair dependencies, `(i, j)`-sorted per slot.
-    out_entries: Vec<DepEntry>,
-    /// In-neighbor-pair dependencies, `(i, j)`-sorted per slot.
-    in_entries: Vec<DepEntry>,
-    /// Slot → `[|N⁺(u)|, |N⁺(v)|, |N⁻(u)|, |N⁻(v)|]` (drive `Ω` / vacuity).
-    dims: Vec<[u32; 4]>,
+    /// Every slot's forward dependency lists (`base == 0`).
+    rows: RowCols,
     /// Slot → range of `rdeps` (length `n + 1`).
     rdep_offsets: Vec<usize>,
     /// Reverse CSR: for each slot, the slots whose update reads it. May
@@ -58,69 +59,370 @@ pub(crate) struct PairDepCsr {
     rdeps: Vec<u32>,
 }
 
+/// The forward dependency columns of the contiguous slot range
+/// `base..base + dims.len()`: what an owned [`ShardCsr`] holds, and the
+/// forward half of a [`PairDepCsr`] (with `base == 0`).
+#[derive(Debug, PartialEq)]
+struct RowCols {
+    /// First global slot of the range.
+    base: usize,
+    /// Local slot → range of `out_entries` (length `rows + 1`).
+    out_offsets: Vec<usize>,
+    /// Local slot → range of `in_entries` (length `rows + 1`).
+    in_offsets: Vec<usize>,
+    /// Out-neighbor-pair dependencies, `(i, j)`-sorted per slot.
+    out_entries: Vec<DepEntry>,
+    /// In-neighbor-pair dependencies, `(i, j)`-sorted per slot.
+    in_entries: Vec<DepEntry>,
+    /// Local slot → `[|N⁺(u)|, |N⁺(v)|, |N⁻(u)|, |N⁻(v)|]` (drive `Ω` /
+    /// vacuity).
+    dims: Vec<[u32; 4]>,
+}
+
+impl RowCols {
+    /// Appends one slot's lists, copied from other columns with every
+    /// slot reference renumbered through `renumber`.
+    #[inline]
+    fn push_row(&mut self, from: CsrCols<'_>, local: usize, renumber: impl Fn(u32) -> u32) {
+        let remap = |e: &DepEntry| {
+            let mut e = *e;
+            if e.slot != DepEntry::CONST {
+                e.slot = renumber(e.slot);
+                debug_assert_ne!(e.slot, NO_SLOT, "clean slot reads a removed pair");
+            }
+            e
+        };
+        let (out, inn) = from.lists(local);
+        self.out_entries.extend(out.iter().map(remap));
+        self.in_entries.extend(inn.iter().map(remap));
+        self.out_offsets.push(self.out_entries.len());
+        self.in_offsets.push(self.in_entries.len());
+        self.dims.push(from.dims[local]);
+    }
+
+    #[inline]
+    fn cols(&self) -> CsrCols<'_> {
+        CsrCols {
+            base: self.base,
+            out_offsets: &self.out_offsets,
+            in_offsets: &self.in_offsets,
+            out_entries: &self.out_entries,
+            in_entries: &self.in_entries,
+            dims: &self.dims,
+        }
+    }
+}
+
+/// One chunk's region of an entry column: entries land at `buf[..len]`
+/// in order; overrunning it (a degree bound that does not hold) panics.
+struct RegionSink<'a> {
+    buf: &'a mut [MaybeUninit<DepEntry>],
+    len: usize,
+}
+
+impl RegionSink<'_> {
+    #[inline]
+    fn push(&mut self, e: DepEntry) {
+        self.buf[self.len].write(e);
+        self.len += 1;
+    }
+}
+
+/// One chunk of [`DepSource::fill_rows`]: slots and column pieces.
+struct ChunkJob<'a> {
+    rows: Range<usize>,
+    out: RegionSink<'a>,
+    inn: RegionSink<'a>,
+    out_offsets: &'a mut [usize],
+    in_offsets: &'a mut [usize],
+    dims: &'a mut [[u32; 4]],
+}
+
+/// Splits the first `len` elements off `rest`.
+fn split_off<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    head
+}
+
+/// What a slot's dependency lists are derived from: the graphs, the
+/// evaluation context, the store, and the operator's entry policy.
+struct DepSource<'a> {
+    g1: &'a Graph,
+    g2: &'a Graph,
+    ctx: &'a OpCtx<'a>,
+    store: &'a PairStore,
+    /// [`Operator::reads_ineligible_pairs`].
+    all_pairs: bool,
+    /// [`Operator::fold_const_rows`] (eligible-only operators).
+    fold_consts: bool,
+}
+
+impl<'a> DepSource<'a> {
+    fn new<O: Operator>(
+        g1: &'a Graph,
+        g2: &'a Graph,
+        ctx: &'a OpCtx<'a>,
+        store: &'a PairStore,
+        op: &O,
+    ) -> Self {
+        Self {
+            g1,
+            g2,
+            ctx,
+            store,
+            all_pairs: op.reads_ineligible_pairs(),
+            fold_consts: !op.reads_ineligible_pairs() && op.fold_const_rows(),
+        }
+    }
+
+    /// The dependency lists of `pairs` (store pairs, in the order given),
+    /// on `rt`'s workers when given; the full build, the shard build and
+    /// a repair's dirty slots all derive their lists here. Chunks of the range ([`plan_chunks`])
+    /// fill regions, sized by their degree-product bounds, of columns
+    /// allocated on this thread (memory a worker allocated would stay in
+    /// its allocator arena after being freed); the stitch then closes the
+    /// gaps in slot order, so the columns are identical for every worker
+    /// count (`docs/INTERNALS.md` §2).
+    fn fill_rows(&self, pairs: &[(NodeId, NodeId)], rt: Option<&Runtime>) -> RowCols {
+        let n = pairs.len();
+        let parts = rt.map_or(1, |rt| CHUNKS_PER_WORKER * rt.threads());
+        let chunks = plan_chunks(self.g1, self.g2, pairs, parts);
+        let mut out_entries = Vec::with_capacity(chunks.iter().map(|c| c.1).sum());
+        let mut in_entries = Vec::with_capacity(chunks.iter().map(|c| c.2).sum());
+        let (mut out_offsets, mut in_offsets) = (vec![0; n + 1], vec![0; n + 1]);
+        let mut dims = vec![[0; 4]; n];
+        let lens: Vec<(usize, usize)> = {
+            let mut oe = out_entries.spare_capacity_mut();
+            let mut ie = in_entries.spare_capacity_mut();
+            let (mut oo, mut io) = (&mut out_offsets[1..], &mut in_offsets[1..]);
+            let mut dm = &mut dims[..];
+            let sink = |buf| RegionSink { buf, len: 0 };
+            let jobs: Vec<Mutex<ChunkJob<'_>>> = chunks
+                .iter()
+                .map(|(local, out_bound, in_bound)| {
+                    Mutex::new(ChunkJob {
+                        rows: local.clone(),
+                        out: sink(split_off(&mut oe, *out_bound)),
+                        inn: sink(split_off(&mut ie, *in_bound)),
+                        out_offsets: split_off(&mut oo, local.len()),
+                        in_offsets: split_off(&mut io, local.len()),
+                        dims: split_off(&mut dm, local.len()),
+                    })
+                })
+                .collect();
+            let cursor = AtomicUsize::new(0);
+            dispatch(rt, &mut WorkerState::new(), &|_wid, _ws| {
+                let mut const_buf = Vec::new();
+                while let Some(job) = jobs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                    let job = &mut *job.lock().expect("chunk job lock poisoned");
+                    // One row per slot; offsets are relative to the
+                    // chunk's regions until the stitch.
+                    for (k, &(u, v)) in pairs[job.rows.clone()].iter().enumerate() {
+                        let (s1, s2) = (self.g1.out_neighbors(u), self.g2.out_neighbors(v));
+                        let (t1, t2) = (self.g1.in_neighbors(u), self.g2.in_neighbors(v));
+                        self.push_direction(&mut job.out, s1, s2, &mut const_buf);
+                        self.push_direction(&mut job.inn, t1, t2, &mut const_buf);
+                        (job.out_offsets[k], job.in_offsets[k]) = (job.out.len, job.inn.len);
+                        job.dims[k] = [s1, s2, t1, t2]
+                            .map(|s| u32::try_from(s.len()).expect("degree fits u32"));
+                    }
+                }
+            });
+            jobs.into_iter()
+                .map(|j| j.into_inner().expect("chunk job lock poisoned"))
+                .map(|j| (j.out.len, j.inn.len))
+                .collect()
+        };
+        // Stitch: move each chunk's entries down to where the previous
+        // chunk's end, and shift its offsets by the same amount.
+        let (mut out_len, mut in_len, mut out_at, mut in_at) = (0, 0, 0, 0);
+        for ((local, out_bound, in_bound), (ol, il)) in chunks.into_iter().zip(lens) {
+            if (out_at, in_at) != (out_len, in_len) {
+                let oe = out_entries.spare_capacity_mut();
+                oe.copy_within(out_at..out_at + ol, out_len);
+                let ie = in_entries.spare_capacity_mut();
+                ie.copy_within(in_at..in_at + il, in_len);
+            }
+            for k in local {
+                out_offsets[k + 1] += out_len;
+                in_offsets[k + 1] += in_len;
+            }
+            (out_len, in_len) = (out_len + ol, in_len + il);
+            (out_at, in_at) = (out_at + out_bound, in_at + in_bound);
+        }
+        // SAFETY: chunk `c`'s sink wrote the first `len_c` slots of its
+        // region `at_c..` (in order, bounds-checked); the loop above moved
+        // them, chunk by chunk, to `end_c..end_c + len_c` with
+        // `end_c <= at_c`, and `end_c + len_c <= at_{c+1}`, so no move
+        // clobbered an unmoved chunk: `0..out_len` / `0..in_len` are set.
+        unsafe {
+            out_entries.set_len(out_len);
+            in_entries.set_len(in_len);
+        }
+        // Give back the bound's unused (never touched) address space.
+        out_entries.shrink_to_fit();
+        in_entries.shrink_to_fit();
+        RowCols {
+            base: 0,
+            out_offsets,
+            in_offsets,
+            out_entries,
+            in_entries,
+            dims,
+        }
+    }
+
+    /// Appends one direction's dependency list for a pair: eligible neighbor
+    /// pairs in `(i, j)` order, resolved to slots or fallback constants.
+    /// Zero-valued constants are omitted (they cannot influence any operator).
+    ///
+    /// For operators that only read eligible pairs (the variant operators),
+    /// each row group is **partitioned**: slot-backed entries first (still in
+    /// `j` order, hence ascending slot — store rows are `v`-sorted), fallback
+    /// constants after, buffered through `const_buf`. The kernels' row
+    /// reductions are order-independent within a row (max / deterministic
+    /// matcher sort), so the partition cannot change any bit; what it buys is
+    /// a branch-free vectorizable prefix of pure score-buffer loads per row.
+    /// Operators that read ineligible pairs ([`SimRankOp`] — an
+    /// order-sensitive *sum* keyed by logical position) keep the raw
+    /// interleaved `(i, j)` order.
+    ///
+    /// When `fold_consts` is set, the
+    /// buffered constant run of each row is collapsed to the single entry
+    /// attaining the maximum constant (first winner on ties — deterministic,
+    /// so repaired and fresh builds agree entry for entry). The fold is
+    /// pre-computing the only thing a per-row max can ever extract from the
+    /// run; `f32` maxima are order-insensitive and exact under the `f64`
+    /// widening, so evaluation stays bitwise identical while the row shrinks
+    /// to its slot-backed prefix plus one bias entry.
+    ///
+    /// [`SimRankOp`]: crate::operators::SimRankOp
+    fn push_direction(
+        &self,
+        entries: &mut RegionSink<'_>,
+        s1: &[NodeId],
+        s2: &[NodeId],
+        const_buf: &mut Vec<DepEntry>,
+    ) {
+        for (i, &x) in (0u32..).zip(s1) {
+            const_buf.clear();
+            let row = self.store.row(x);
+            for (j, &y) in (0u32..).zip(s2) {
+                if !self.all_pairs && !self.ctx.eligible(x, y) {
+                    continue;
+                }
+                match row.resolve(y) {
+                    PairRef::Slot(s) => entries.push(DepEntry {
+                        i,
+                        j,
+                        slot: u32::try_from(s).expect("store slot fits u32"),
+                        cval: 0.0,
+                    }),
+                    PairRef::Absent(c) => {
+                        if c != 0.0 {
+                            let e = DepEntry {
+                                i,
+                                j,
+                                slot: DepEntry::CONST,
+                                cval: c as f32,
+                            };
+                            if self.all_pairs {
+                                entries.push(e);
+                            } else {
+                                const_buf.push(e);
+                            }
+                        }
+                    }
+                }
+            }
+            if self.fold_consts && const_buf.len() > 1 {
+                let mut best = const_buf[0];
+                for e in &const_buf[1..] {
+                    if e.cval > best.cval {
+                        best = *e;
+                    }
+                }
+                entries.push(best);
+            } else {
+                const_buf.iter().for_each(|&e| entries.push(e));
+            }
+        }
+    }
+}
+
+/// Cuts `pairs` into at most `parts` contiguous ranges of about equal
+/// degree-product bound (the per-pair bound
+/// [`crate::candidates::estimated_dep_entries`] sums) and returns each
+/// range with its out- and in-direction bounds.
+fn plan_chunks(
+    g1: &Graph,
+    g2: &Graph,
+    pairs: &[(NodeId, NodeId)],
+    parts: usize,
+) -> Vec<(Range<usize>, usize, usize)> {
+    let bounds = || pairs.iter().map(|&(u, v)| dep_bounds(g1, g2, u, v));
+    let total: usize = bounds().map(|(o, i)| o + i).sum();
+    let target = total.div_ceil(parts).max(1);
+    let mut chunks = Vec::with_capacity(parts);
+    let (mut lo, mut out_b, mut in_b, mut seen) = (0, 0, 0, 0);
+    for (k, (o, i)) in bounds().enumerate() {
+        (out_b, in_b, seen) = (out_b + o, in_b + i, seen + o + i);
+        if chunks.len() + 1 < parts && seen >= target * (chunks.len() + 1) {
+            chunks.push((lo..k + 1, out_b, in_b));
+            (lo, out_b, in_b) = (k + 1, 0, 0);
+        }
+    }
+    chunks.push((lo..pairs.len(), out_b, in_b));
+    chunks
+}
+
 impl PairDepCsr {
-    /// Materializes the dependency structure of `store` under the session's
-    /// evaluation context.
+    /// Materializes the dependency structure of `store` under the
+    /// session's evaluation context, on `rt`'s workers when given (see
+    /// [`DepSource::fill_rows`]; the result is identical either way).
     pub(crate) fn build<O: Operator>(
         g1: &Graph,
         g2: &Graph,
         ctx: &OpCtx<'_>,
         store: &PairStore,
         op: &O,
+        rt: Option<&Runtime>,
     ) -> Self {
-        let n = store.len();
-        let all_pairs = op.reads_ineligible_pairs();
-        let fold_consts = !all_pairs && op.fold_const_rows();
-        let mut out_offsets = Vec::with_capacity(n + 1);
-        let mut in_offsets = Vec::with_capacity(n + 1);
-        let mut out_entries = Vec::new();
-        let mut in_entries = Vec::new();
-        let mut dims = Vec::with_capacity(n);
-        out_offsets.push(0);
-        in_offsets.push(0);
-        let mut const_buf = Vec::new();
-        for &(u, v) in &store.pairs {
-            let (s1, s2) = (g1.out_neighbors(u), g2.out_neighbors(v));
-            push_direction(
-                &mut out_entries,
-                s1,
-                s2,
-                ctx,
-                store,
-                all_pairs,
-                fold_consts,
-                &mut const_buf,
-            );
-            out_offsets.push(out_entries.len());
-            let (t1, t2) = (g1.in_neighbors(u), g2.in_neighbors(v));
-            push_direction(
-                &mut in_entries,
-                t1,
-                t2,
-                ctx,
-                store,
-                all_pairs,
-                fold_consts,
-                &mut const_buf,
-            );
-            in_offsets.push(in_entries.len());
-            dims.push([
-                s1.len() as u32,
-                s2.len() as u32,
-                t1.len() as u32,
-                t2.len() as u32,
-            ]);
+        Self::with_reverse(DepSource::new(g1, g2, ctx, store, op).fill_rows(&store.pairs, rt))
+    }
+
+    /// Completes a set of forward columns with the reverse CSR, built by
+    /// counting sort: dependents of each source slot, in ascending
+    /// dependent order (deterministic — the scheduler's worklists are
+    /// order-insensitive, but determinism keeps debugging sane).
+    fn with_reverse(rows: RowCols) -> Self {
+        let n = rows.dims.len();
+        let mut counts = vec![0usize; n + 1];
+        for e in rows.out_entries.iter().chain(&rows.in_entries) {
+            if e.slot != DepEntry::CONST {
+                counts[e.slot as usize + 1] += 1;
+            }
         }
-
-        let (rdep_offsets, rdeps) =
-            build_reverse(n, &out_offsets, &out_entries, &in_offsets, &in_entries);
-
+        for k in 1..=n {
+            counts[k] += counts[k - 1];
+        }
+        let mut cursor = counts[..n].to_vec();
+        let rdep_offsets = counts;
+        let mut rdeps = vec![0u32; *rdep_offsets.last().unwrap_or(&0)];
+        let cols = rows.cols();
+        for (slot, local) in (0u32..).zip(0..n) {
+            let (out, inn) = cols.lists(local);
+            for e in out.iter().chain(inn) {
+                if e.slot != DepEntry::CONST {
+                    let src = e.slot as usize;
+                    rdeps[cursor[src]] = slot;
+                    cursor[src] += 1;
+                }
+            }
+        }
         Self {
-            out_offsets,
-            in_offsets,
-            out_entries,
-            in_entries,
-            dims,
+            rows,
             rdep_offsets,
             rdeps,
         }
@@ -129,12 +431,12 @@ impl PairDepCsr {
     /// Incrementally repairs the CSR after a graph edit: slots outside
     /// `entry_dirty` copy their old dependency lists verbatim (with slots
     /// renumbered through `old_to_new`); dirty slots — and pairs that just
-    /// entered the store — re-derive theirs from the edited graphs. The
-    /// expensive per-entry work (eligibility filtering, pair resolution,
-    /// fallback probing) is therefore proportional to the edit's dirty
-    /// frontier, not to the store; only the reverse-CSR counting sort and
-    /// the entry copy remain `O(total entries)` — branch-free linear
-    /// passes.
+    /// entered the store — re-derive theirs from the edited graphs
+    /// (one [`DepSource::fill_rows`] pass over all of them). The expensive
+    /// per-entry work (eligibility filtering, pair resolution, fallback
+    /// probing) is therefore proportional to the edit's dirty frontier,
+    /// not to the store; only the reverse-CSR counting sort and the entry
+    /// copy remain `O(total entries)` — branch-free linear passes.
     ///
     /// `store` is the repaired store; `old_to_new` / `new_to_old` come
     /// from [`crate::candidates::repair_candidates`]; `entry_dirty` is
@@ -152,106 +454,45 @@ impl PairDepCsr {
         new_to_old: &[u32],
         entry_dirty: &[bool],
     ) -> Self {
-        use crate::candidates::NO_SLOT;
+        let src = DepSource::new(g1, g2, ctx, store, op);
         let n = store.len();
         debug_assert_eq!(entry_dirty.len(), n);
-        let all_pairs = op.reads_ineligible_pairs();
-        let fold_consts = !all_pairs && op.fold_const_rows();
-        let mut out_offsets = Vec::with_capacity(n + 1);
-        let mut in_offsets = Vec::with_capacity(n + 1);
-        let mut out_entries = Vec::with_capacity(self.out_entries.len());
-        let mut in_entries = Vec::with_capacity(self.in_entries.len());
-        let mut dims = Vec::with_capacity(n);
-        out_offsets.push(0);
-        in_offsets.push(0);
-        let copy_range = |dst: &mut Vec<DepEntry>, src: &[DepEntry]| {
-            for e in src {
-                let mut e = *e;
-                if e.slot != DepEntry::CONST {
-                    let mapped = old_to_new[e.slot as usize];
-                    debug_assert_ne!(
-                        mapped, NO_SLOT,
-                        "clean slot depends on a removed pair — dirty set too small"
-                    );
-                    e.slot = mapped;
-                }
-                dst.push(e);
-            }
-        };
-        let mut const_buf = Vec::new();
-        for (slot, &(u, v)) in store.pairs.iter().enumerate() {
-            let old_slot = new_to_old[slot];
-            if old_slot != NO_SLOT && !entry_dirty[slot] {
-                let o = old_slot as usize;
-                copy_range(
-                    &mut out_entries,
-                    &self.out_entries[self.out_offsets[o]..self.out_offsets[o + 1]],
-                );
-                copy_range(
-                    &mut in_entries,
-                    &self.in_entries[self.in_offsets[o]..self.in_offsets[o + 1]],
-                );
-                dims.push(self.dims[o]);
+        let clean = |slot: usize| new_to_old[slot] != NO_SLOT && !entry_dirty[slot];
+        let dirty: Vec<_> = (0..n)
+            .filter(|&s| !clean(s))
+            .map(|s| store.pairs[s])
+            .collect();
+        let (fresh, mut next) = (src.fill_rows(&dirty, None), 0);
+        let mut rows = src.fill_rows(&[], None);
+        rows.out_offsets.reserve(n);
+        rows.in_offsets.reserve(n);
+        rows.dims.reserve(n);
+        rows.out_entries.reserve(self.rows.out_entries.len());
+        rows.in_entries.reserve(self.rows.in_entries.len());
+        let (old_cols, fresh_cols) = (self.rows.cols(), fresh.cols());
+        for (slot, &old_slot) in new_to_old.iter().enumerate() {
+            if clean(slot) {
+                rows.push_row(old_cols, old_slot as usize, |s| old_to_new[s as usize]);
             } else {
-                let (s1, s2) = (g1.out_neighbors(u), g2.out_neighbors(v));
-                push_direction(
-                    &mut out_entries,
-                    s1,
-                    s2,
-                    ctx,
-                    store,
-                    all_pairs,
-                    fold_consts,
-                    &mut const_buf,
-                );
-                let (t1, t2) = (g1.in_neighbors(u), g2.in_neighbors(v));
-                push_direction(
-                    &mut in_entries,
-                    t1,
-                    t2,
-                    ctx,
-                    store,
-                    all_pairs,
-                    fold_consts,
-                    &mut const_buf,
-                );
-                dims.push([
-                    s1.len() as u32,
-                    s2.len() as u32,
-                    t1.len() as u32,
-                    t2.len() as u32,
-                ]);
+                rows.push_row(fresh_cols, next, |s| s);
+                next += 1;
             }
-            out_offsets.push(out_entries.len());
-            in_offsets.push(in_entries.len());
         }
-        let (rdep_offsets, rdeps) =
-            build_reverse(n, &out_offsets, &out_entries, &in_offsets, &in_entries);
-        Self {
-            out_offsets,
-            in_offsets,
-            out_entries,
-            in_entries,
-            dims,
-            rdep_offsets,
-            rdeps,
-        }
+        Self::with_reverse(rows)
     }
 
     /// Total dependency entries across both directions (diagnostics).
     pub(crate) fn entry_count(&self) -> usize {
-        self.out_entries.len() + self.in_entries.len()
+        self.rows.out_entries.len() + self.rows.in_entries.len()
     }
 
     /// Resident heap footprint in bytes (entries, reverse CSR, offsets,
     /// dims) — the "peak CSR memory" the sharded driver is bounded
     /// against.
     pub(crate) fn bytes(&self) -> usize {
-        self.entry_count() * std::mem::size_of::<DepEntry>()
-            + self.rdeps.len() * std::mem::size_of::<u32>()
-            + (self.out_offsets.len() + self.in_offsets.len() + self.rdep_offsets.len())
-                * std::mem::size_of::<usize>()
-            + self.dims.len() * std::mem::size_of::<[u32; 4]>()
+        self.rows.cols().bytes()
+            + std::mem::size_of_val(self.rdeps.as_slice())
+            + std::mem::size_of_val(self.rdep_offsets.as_slice())
     }
 
     /// The reverse dependents CSR (for the dirty scheduler).
@@ -262,20 +503,11 @@ impl PairDepCsr {
         }
     }
 
-    /// Borrows the seven raw columns for the snapshot codec
-    /// (`engine/persist.rs`). The reverse CSR is persisted too — it is
-    /// derivable, but re-deriving it would cost a counting sort over
-    /// every entry on each restore.
-    pub(crate) fn raw_parts(&self) -> DepRawParts<'_> {
-        DepRawParts {
-            out_offsets: &self.out_offsets,
-            in_offsets: &self.in_offsets,
-            out_entries: &self.out_entries,
-            in_entries: &self.in_entries,
-            dims: &self.dims,
-            rdep_offsets: &self.rdep_offsets,
-            rdeps: &self.rdeps,
-        }
+    /// The forward columns, which the drivers evaluate through and the
+    /// snapshot codec persists — with [`reverse`](Self::reverse): a
+    /// restore should not redo the counting sort.
+    pub(crate) fn forward(&self) -> CsrCols<'_> {
+        self.rows.cols()
     }
 
     /// Rebuilds a CSR from deserialized columns, validating every
@@ -306,66 +538,18 @@ impl PairDepCsr {
             return Err(format!("rdep slot {bad} out of range ({n_slots} slots)"));
         }
         Ok(PairDepCsr {
-            out_offsets,
-            in_offsets,
-            out_entries,
-            in_entries,
-            dims,
+            rows: RowCols {
+                base: 0,
+                out_offsets,
+                in_offsets,
+                out_entries,
+                in_entries,
+                dims,
+            },
             rdep_offsets,
             rdeps,
         })
     }
-
-    /// Equation 3 for one slot, evaluated from the prepared dependency
-    /// lists and the cached label term — bitwise identical to
-    /// [`pair_update`](super::iterate::pair_update) on the same inputs.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn eval_slot<O: Operator>(
-        &self,
-        cfg: &FsimConfig,
-        op: &O,
-        store: &PairStore,
-        slot: usize,
-        prev: &[f64],
-        scratch: &mut OpScratch,
-        label: f64,
-    ) -> f64 {
-        let (u, v) = store.pairs[slot];
-        if cfg.pin_identical && u == v {
-            return 1.0;
-        }
-        let [o1, o2, i1, i2] = self.dims[slot];
-        let out = op.term_slots(
-            &self.out_entries[self.out_offsets[slot]..self.out_offsets[slot + 1]],
-            o1 as usize,
-            o2 as usize,
-            prev,
-            scratch,
-        );
-        let inn = op.term_slots(
-            &self.in_entries[self.in_offsets[slot]..self.in_offsets[slot + 1]],
-            i1 as usize,
-            i2 as usize,
-            prev,
-            scratch,
-        );
-        let score = cfg.w_out * out + cfg.w_in * inn + cfg.w_label() * label;
-        // Scores are mathematically confined to [0, 1]; clamp floating
-        // drift (identically to `pair_update`).
-        score.clamp(0.0, 1.0)
-    }
-}
-
-/// Borrowed views of every [`PairDepCsr`] column, for serialization.
-pub(crate) struct DepRawParts<'a> {
-    pub(crate) out_offsets: &'a [usize],
-    pub(crate) in_offsets: &'a [usize],
-    pub(crate) out_entries: &'a [DepEntry],
-    pub(crate) in_entries: &'a [DepEntry],
-    pub(crate) dims: &'a [[u32; 4]],
-    pub(crate) rdep_offsets: &'a [usize],
-    pub(crate) rdeps: &'a [u32],
 }
 
 /// Validates a deserialized offset column: length `n + 1`, starts at 0,
@@ -412,13 +596,13 @@ fn check_entry_slots(name: &str, entries: &[DepEntry], n_slots: usize) -> Result
 /// the sharded driver ([`super::shards`]) and dropped before the next
 /// shard is touched, so peak resident CSR memory is one shard's worth.
 ///
-/// Entries are produced by the same [`push_direction`] pass as
-/// [`PairDepCsr::build`], and [`eval_slot`](Self::eval_slot) is the same
-/// arithmetic as [`PairDepCsr::eval_slot`], so evaluating a slot through a
-/// `ShardCsr` is bitwise identical to evaluating it through the full CSR.
-/// No reverse CSR is materialized: the sharded driver schedules by
-/// scanning each slot's forward entries against the previous iteration's
-/// changed-slot frontier instead (the boundary exchange).
+/// Entries are produced by the same [`DepSource::fill_rows`] pass as
+/// [`PairDepCsr::build`], and evaluation is the same [`CsrCols`] code, so
+/// evaluating a slot through a `ShardCsr` is bitwise identical to
+/// evaluating it through the full CSR. No reverse CSR is materialized:
+/// the sharded driver schedules by scanning each slot's forward entries
+/// against the previous iteration's changed-slot frontier instead (the
+/// boundary exchange).
 pub(crate) struct ShardCsr {
     repr: ShardRepr,
 }
@@ -426,151 +610,48 @@ pub(crate) struct ShardCsr {
 /// Where a [`ShardCsr`]'s columns live.
 enum ShardRepr {
     /// Freshly built, columns on the heap.
-    Owned(OwnedShardCsr),
+    Owned(RowCols),
     /// Backed by a retained spill mapping ([`MappedShardCsr`]),
     /// shared with the session's spill cache.
     Mapped(std::sync::Arc<MappedShardCsr>),
 }
 
-struct OwnedShardCsr {
-    /// First global slot of the shard.
-    base: usize,
-    /// Local slot → range of `out_entries` (length `len + 1`).
-    out_offsets: Vec<usize>,
-    /// Local slot → range of `in_entries` (length `len + 1`).
-    in_offsets: Vec<usize>,
-    out_entries: Vec<DepEntry>,
-    in_entries: Vec<DepEntry>,
-    /// Local slot → `[|N⁺(u)|, |N⁺(v)|, |N⁻(u)|, |N⁻(v)|]`.
-    dims: Vec<[u32; 4]>,
-}
-
-/// Borrowed view of one shard's CSR columns — the common shape both
-/// backings lower to, so evaluation is one code path (and therefore
-/// bitwise identical) regardless of where the bytes live.
+/// Borrowed view of one slot range's CSR columns — the common shape
+/// every backing lowers to, so evaluation is one code path (and
+/// therefore bitwise identical) regardless of where the bytes live.
 #[derive(Clone, Copy)]
-struct CsrCols<'a> {
+pub(crate) struct CsrCols<'a> {
     base: usize,
-    out_offsets: &'a [usize],
-    in_offsets: &'a [usize],
-    out_entries: &'a [DepEntry],
-    in_entries: &'a [DepEntry],
-    dims: &'a [[u32; 4]],
+    pub(crate) out_offsets: &'a [usize],
+    pub(crate) in_offsets: &'a [usize],
+    pub(crate) out_entries: &'a [DepEntry],
+    pub(crate) in_entries: &'a [DepEntry],
+    pub(crate) dims: &'a [[u32; 4]],
 }
 
-impl ShardCsr {
+impl<'a> CsrCols<'a> {
+    /// The out- and in-direction lists of a **local** slot.
     #[inline]
-    fn cols(&self) -> CsrCols<'_> {
-        match &self.repr {
-            ShardRepr::Owned(o) => CsrCols {
-                base: o.base,
-                out_offsets: &o.out_offsets,
-                in_offsets: &o.in_offsets,
-                out_entries: &o.out_entries,
-                in_entries: &o.in_entries,
-                dims: &o.dims,
-            },
-            ShardRepr::Mapped(m) => m.cols(),
-        }
+    fn lists(&self, local: usize) -> (&'a [DepEntry], &'a [DepEntry]) {
+        (
+            &self.out_entries[self.out_offsets[local]..self.out_offsets[local + 1]],
+            &self.in_entries[self.in_offsets[local]..self.in_offsets[local + 1]],
+        )
     }
 
-    /// Wraps a retained spill mapping (shared with the spill cache).
-    pub(crate) fn from_mapped(m: std::sync::Arc<MappedShardCsr>) -> Self {
-        Self {
-            repr: ShardRepr::Mapped(m),
-        }
-    }
-    /// Materializes the dependency structure of slots `lo..hi` of `store`
-    /// under the session's evaluation context.
-    pub(crate) fn build<O: Operator>(
-        g1: &Graph,
-        g2: &Graph,
-        ctx: &OpCtx<'_>,
-        store: &PairStore,
-        op: &O,
-        lo: usize,
-        hi: usize,
-    ) -> Self {
-        debug_assert!(lo <= hi && hi <= store.len());
-        let all_pairs = op.reads_ineligible_pairs();
-        let fold_consts = !all_pairs && op.fold_const_rows();
-        let len = hi - lo;
-        let mut out_offsets = Vec::with_capacity(len + 1);
-        let mut in_offsets = Vec::with_capacity(len + 1);
-        let mut out_entries = Vec::new();
-        let mut in_entries = Vec::new();
-        let mut dims = Vec::with_capacity(len);
-        out_offsets.push(0);
-        in_offsets.push(0);
-        let mut const_buf = Vec::new();
-        for &(u, v) in &store.pairs[lo..hi] {
-            let (s1, s2) = (g1.out_neighbors(u), g2.out_neighbors(v));
-            push_direction(
-                &mut out_entries,
-                s1,
-                s2,
-                ctx,
-                store,
-                all_pairs,
-                fold_consts,
-                &mut const_buf,
-            );
-            out_offsets.push(out_entries.len());
-            let (t1, t2) = (g1.in_neighbors(u), g2.in_neighbors(v));
-            push_direction(
-                &mut in_entries,
-                t1,
-                t2,
-                ctx,
-                store,
-                all_pairs,
-                fold_consts,
-                &mut const_buf,
-            );
-            in_offsets.push(in_entries.len());
-            dims.push([
-                s1.len() as u32,
-                s2.len() as u32,
-                t1.len() as u32,
-                t2.len() as u32,
-            ]);
-        }
-        Self {
-            repr: ShardRepr::Owned(OwnedShardCsr {
-                base: lo,
-                out_offsets,
-                in_offsets,
-                out_entries,
-                in_entries,
-                dims,
-            }),
-        }
+    /// Column footprint in bytes.
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.out_entries)
+            + std::mem::size_of_val(self.in_entries)
+            + std::mem::size_of_val(self.out_offsets)
+            + std::mem::size_of_val(self.in_offsets)
+            + std::mem::size_of_val(self.dims)
     }
 
-    /// Both directions' dependency entries of a **global** slot.
-    #[inline]
-    pub(crate) fn deps_of(&self, slot: usize) -> impl Iterator<Item = &DepEntry> {
-        let c = self.cols();
-        let local = slot - c.base;
-        c.out_entries[c.out_offsets[local]..c.out_offsets[local + 1]]
-            .iter()
-            .chain(&c.in_entries[c.in_offsets[local]..c.in_offsets[local + 1]])
-    }
-
-    /// Resident column footprint in bytes (for a mapped shard, the
-    /// page-cache-resident spill bytes the columns view).
-    pub(crate) fn bytes(&self) -> usize {
-        let c = self.cols();
-        std::mem::size_of_val(c.out_entries)
-            + std::mem::size_of_val(c.in_entries)
-            + std::mem::size_of_val(c.out_offsets)
-            + std::mem::size_of_val(c.in_offsets)
-            + std::mem::size_of_val(c.dims)
-    }
-
-    /// Equation 3 for one **global** slot of the shard — bitwise identical
-    /// to [`PairDepCsr::eval_slot`] on the same inputs (same entries, same
-    /// arithmetic).
+    /// Equation 3 for one **global** slot of the range, evaluated from
+    /// the prepared dependency lists and the cached label term — bitwise
+    /// identical to [`pair_update`](super::iterate::pair_update) on the
+    /// same inputs, whichever CSR backs the view.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn eval_slot<O: Operator>(
@@ -587,27 +668,67 @@ impl ShardCsr {
         if cfg.pin_identical && u == v {
             return 1.0;
         }
-        let c = self.cols();
-        let local = slot - c.base;
-        let [o1, o2, i1, i2] = c.dims[local];
-        let out = op.term_slots(
-            &c.out_entries[c.out_offsets[local]..c.out_offsets[local + 1]],
-            o1 as usize,
-            o2 as usize,
-            prev,
-            scratch,
-        );
-        let inn = op.term_slots(
-            &c.in_entries[c.in_offsets[local]..c.in_offsets[local + 1]],
-            i1 as usize,
-            i2 as usize,
-            prev,
-            scratch,
-        );
+        let local = slot - self.base;
+        let [o1, o2, i1, i2] = self.dims[local];
+        let (out_list, in_list) = self.lists(local);
+        let out = op.term_slots(out_list, o1 as usize, o2 as usize, prev, scratch);
+        let inn = op.term_slots(in_list, i1 as usize, i2 as usize, prev, scratch);
         let score = cfg.w_out * out + cfg.w_in * inn + cfg.w_label() * label;
         // Scores are mathematically confined to [0, 1]; clamp floating
-        // drift (identically to `pair_update` / `PairDepCsr::eval_slot`).
+        // drift (identically to `pair_update`).
         score.clamp(0.0, 1.0)
+    }
+}
+
+impl ShardCsr {
+    /// The shard's columns, wherever they live.
+    #[inline]
+    pub(crate) fn cols(&self) -> CsrCols<'_> {
+        match &self.repr {
+            ShardRepr::Owned(o) => o.cols(),
+            ShardRepr::Mapped(m) => m.cols(),
+        }
+    }
+
+    /// Wraps a retained spill mapping (shared with the spill cache).
+    pub(crate) fn from_mapped(m: std::sync::Arc<MappedShardCsr>) -> Self {
+        Self {
+            repr: ShardRepr::Mapped(m),
+        }
+    }
+
+    /// Materializes the dependency structure of slots `lo..hi` of `store`
+    /// under the session's evaluation context: one
+    /// [`DepSource::fill_rows`] pass on the calling thread.
+    pub(crate) fn build<O: Operator>(
+        g1: &Graph,
+        g2: &Graph,
+        ctx: &OpCtx<'_>,
+        store: &PairStore,
+        op: &O,
+        lo: usize,
+        hi: usize,
+    ) -> Self {
+        debug_assert!(lo <= hi && hi <= store.len());
+        let mut cols = DepSource::new(g1, g2, ctx, store, op).fill_rows(&store.pairs[lo..hi], None);
+        cols.base = lo;
+        Self {
+            repr: ShardRepr::Owned(cols),
+        }
+    }
+
+    /// Both directions' dependency entries of a **global** slot.
+    #[inline]
+    pub(crate) fn deps_of(&self, slot: usize) -> impl Iterator<Item = &DepEntry> {
+        let c = self.cols();
+        let (out, inn) = c.lists(slot - c.base);
+        out.iter().chain(inn)
+    }
+
+    /// Resident column footprint in bytes (for a mapped shard, the
+    /// page-cache-resident spill bytes the columns view).
+    pub(crate) fn bytes(&self) -> usize {
+        self.cols().bytes()
     }
 
     /// Writes this shard's dependency lists to `path` as a one-section
@@ -713,16 +834,7 @@ fn entry_col(cur: &mut fsim_snapshot::Cursor<'_>) -> Result<EntryCol, SnapshotEr
         // Sections are 8-byte aligned and every preceding field is a
         // multiple of 8 bytes, so this fallback should be unreachable;
         // decoding the already-taken bytes keeps it correct anyway.
-        let mut entries = Vec::with_capacity(len);
-        for c in raw.chunks_exact(std::mem::size_of::<DepEntry>()) {
-            entries.push(DepEntry {
-                i: u32::from_le_bytes(c[0..4].try_into().expect("4 bytes")),
-                j: u32::from_le_bytes(c[4..8].try_into().expect("4 bytes")),
-                slot: u32::from_le_bytes(c[8..12].try_into().expect("4 bytes")),
-                cval: f32::from_bits(u32::from_le_bytes(c[12..16].try_into().expect("4 bytes"))),
-            });
-        }
-        Ok(EntryCol::Owned(entries))
+        Ok(EntryCol::Owned(decode_dep_entries(raw)))
     }
     #[cfg(not(target_endian = "little"))]
     Ok(EntryCol::Owned(read_dep_entries(cur)?))
@@ -810,13 +922,16 @@ const SPILL_KNOWN: &[(u32, &str)] = &[(SPILL_SECTION, "shard-csr")];
 /// Encodes a [`DepEntry`] slice: count, then 16 bytes per entry
 /// (`i`, `j`, `slot` as LE `u32`, `cval` as LE `f32` bits).
 pub(crate) fn put_dep_entries(buf: &mut Vec<u8>, entries: &[DepEntry]) {
-    fsim_snapshot::writer::put_usize(buf, entries.len());
-    for e in entries {
-        buf.extend_from_slice(&e.i.to_le_bytes());
-        buf.extend_from_slice(&e.j.to_le_bytes());
-        buf.extend_from_slice(&e.slot.to_le_bytes());
-        buf.extend_from_slice(&e.cval.to_bits().to_le_bytes());
-    }
+    fsim_snapshot::cursor::put_records(buf, entries, |e| {
+        let mut record = [0; 16];
+        for (dst, word) in record
+            .chunks_exact_mut(4)
+            .zip([e.i, e.j, e.slot, e.cval.to_bits()])
+        {
+            dst.copy_from_slice(&word.to_le_bytes());
+        }
+        record
+    });
 }
 
 /// Decodes a [`put_dep_entries`] slice with a bounds-proven count.
@@ -824,136 +939,19 @@ pub(crate) fn read_dep_entries(
     cur: &mut fsim_snapshot::Cursor<'_>,
 ) -> Result<Vec<DepEntry>, SnapshotError> {
     let checked_n = cur.checked_len(16)?;
-    let raw = cur.take(checked_n * 16)?;
-    Ok(raw
-        .chunks_exact(16)
+    Ok(decode_dep_entries(cur.take(checked_n * 16)?))
+}
+
+/// Decodes whole 16-byte [`put_dep_entries`] records.
+fn decode_dep_entries(raw: &[u8]) -> Vec<DepEntry> {
+    raw.chunks_exact(16)
         .map(|c| DepEntry {
             i: u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
             j: u32::from_le_bytes([c[4], c[5], c[6], c[7]]),
             slot: u32::from_le_bytes([c[8], c[9], c[10], c[11]]),
             cval: f32::from_bits(u32::from_le_bytes([c[12], c[13], c[14], c[15]])),
         })
-        .collect())
-}
-
-/// Reverse CSR by counting sort: dependents of each source slot, in
-/// ascending dependent order (deterministic — the scheduler's worklists
-/// are order-insensitive, but determinism keeps debugging sane).
-fn build_reverse(
-    n: usize,
-    out_offsets: &[usize],
-    out_entries: &[DepEntry],
-    in_offsets: &[usize],
-    in_entries: &[DepEntry],
-) -> (Vec<usize>, Vec<u32>) {
-    let mut counts = vec![0usize; n + 1];
-    for e in out_entries.iter().chain(in_entries) {
-        if e.slot != DepEntry::CONST {
-            counts[e.slot as usize + 1] += 1;
-        }
-    }
-    for k in 1..=n {
-        counts[k] += counts[k - 1];
-    }
-    let rdep_offsets = counts.clone();
-    let mut cursor = counts;
-    cursor.pop();
-    let mut rdeps = vec![0u32; *rdep_offsets.last().unwrap_or(&0)];
-    for slot in 0..n {
-        let slot_entries = out_entries[out_offsets[slot]..out_offsets[slot + 1]]
-            .iter()
-            .chain(&in_entries[in_offsets[slot]..in_offsets[slot + 1]]);
-        for e in slot_entries {
-            if e.slot != DepEntry::CONST {
-                let src = e.slot as usize;
-                rdeps[cursor[src]] = slot as u32;
-                cursor[src] += 1;
-            }
-        }
-    }
-    (rdep_offsets, rdeps)
-}
-
-/// Appends one direction's dependency list for a pair: eligible neighbor
-/// pairs in `(i, j)` order, resolved to slots or fallback constants.
-/// Zero-valued constants are omitted (they cannot influence any operator).
-///
-/// For operators that only read eligible pairs (the variant operators),
-/// each row group is **partitioned**: slot-backed entries first (still in
-/// `j` order, hence ascending slot — store rows are `v`-sorted), fallback
-/// constants after, buffered through `const_buf`. The kernels' row
-/// reductions are order-independent within a row (max / deterministic
-/// matcher sort), so the partition cannot change any bit; what it buys is
-/// a branch-free vectorizable prefix of pure score-buffer loads per row.
-/// Operators that read ineligible pairs ([`SimRankOp`] — an
-/// order-sensitive *sum* keyed by logical position) keep the raw
-/// interleaved `(i, j)` order.
-///
-/// When `fold_consts` is set ([`Operator::fold_const_rows`]), the
-/// buffered constant run of each row is collapsed to the single entry
-/// attaining the maximum constant (first winner on ties — deterministic,
-/// so repaired and fresh builds agree entry for entry). The fold is
-/// pre-computing the only thing a per-row max can ever extract from the
-/// run; `f32` maxima are order-insensitive and exact under the `f64`
-/// widening, so evaluation stays bitwise identical while the row shrinks
-/// to its slot-backed prefix plus one bias entry.
-///
-/// [`SimRankOp`]: crate::operators::SimRankOp
-#[allow(clippy::too_many_arguments)]
-fn push_direction(
-    entries: &mut Vec<DepEntry>,
-    s1: &[fsim_graph::NodeId],
-    s2: &[fsim_graph::NodeId],
-    ctx: &OpCtx<'_>,
-    store: &PairStore,
-    all_pairs: bool,
-    fold_consts: bool,
-    const_buf: &mut Vec<DepEntry>,
-) {
-    for (i, &x) in s1.iter().enumerate() {
-        const_buf.clear();
-        let row = store.row(x);
-        for (j, &y) in s2.iter().enumerate() {
-            if !all_pairs && !ctx.eligible(x, y) {
-                continue;
-            }
-            match row.resolve(y) {
-                PairRef::Slot(s) => entries.push(DepEntry {
-                    i: i as u32,
-                    j: j as u32,
-                    slot: s as u32,
-                    cval: 0.0,
-                }),
-                PairRef::Absent(c) => {
-                    if c != 0.0 {
-                        let e = DepEntry {
-                            i: i as u32,
-                            j: j as u32,
-                            slot: DepEntry::CONST,
-                            cval: c as f32,
-                        };
-                        if all_pairs {
-                            entries.push(e);
-                        } else {
-                            const_buf.push(e);
-                        }
-                    }
-                }
-            }
-        }
-        if fold_consts && const_buf.len() > 1 {
-            let mut best = const_buf[0];
-            for e in &const_buf[1..] {
-                if e.cval > best.cval {
-                    best = *e;
-                }
-            }
-            entries.push(best);
-            const_buf.clear();
-        } else {
-            entries.append(const_buf);
-        }
-    }
+        .collect()
 }
 
 #[cfg(test)]
@@ -986,7 +984,7 @@ mod tests {
             };
             let op = VariantOp::new(cfg.variant);
             let store = crate::candidates::enumerate_candidates(&g1raw, &g2raw, &ctx, &cfg, &op);
-            let csr = PairDepCsr::build(&g1raw, &g2raw, &ctx, &store, &op);
+            let csr = PairDepCsr::build(&g1raw, &g2raw, &ctx, &store, &op, None);
             // Arbitrary (deterministic) score buffer.
             let scores: Vec<f64> = (0..store.len()).map(|i| (i % 13) as f64 / 13.0).collect();
             let view = store.view(&scores);
@@ -1004,7 +1002,9 @@ mod tests {
                     &mut scratch,
                 );
                 let label = ctx.label_sim(u, v);
-                let via_csr = csr.eval_slot(&cfg, &op, &store, slot, &scores, &mut scratch, label);
+                let via_csr =
+                    csr.forward()
+                        .eval_slot(&cfg, &op, &store, slot, &scores, &mut scratch, label);
                 assert_eq!(
                     direct.to_bits(),
                     via_csr.to_bits(),
@@ -1029,7 +1029,7 @@ mod tests {
             };
             let op = VariantOp::new(cfg.variant);
             let store = crate::candidates::enumerate_candidates(&g1, &g2, &ctx, &cfg, &op);
-            let csr = PairDepCsr::build(&g1, &g2, &ctx, &store, &op);
+            let csr = PairDepCsr::build(&g1, &g2, &ctx, &store, &op, None);
             let scores: Vec<f64> = (0..store.len()).map(|i| (i % 7) as f64 / 7.0).collect();
             let mut scratch = OpScratch::new();
             // Split the store anywhere (including degenerate empty shards)
@@ -1040,10 +1040,24 @@ mod tests {
                     assert!(shard.bytes() <= csr.bytes());
                     for slot in lo..hi {
                         let label = ctx.label_sim(store.pairs[slot].0, store.pairs[slot].1);
-                        let full =
-                            csr.eval_slot(&cfg, &op, &store, slot, &scores, &mut scratch, label);
-                        let via_shard =
-                            shard.eval_slot(&cfg, &op, &store, slot, &scores, &mut scratch, label);
+                        let full = csr.forward().eval_slot(
+                            &cfg,
+                            &op,
+                            &store,
+                            slot,
+                            &scores,
+                            &mut scratch,
+                            label,
+                        );
+                        let via_shard = shard.cols().eval_slot(
+                            &cfg,
+                            &op,
+                            &store,
+                            slot,
+                            &scores,
+                            &mut scratch,
+                            label,
+                        );
                         assert_eq!(
                             full.to_bits(),
                             via_shard.to_bits(),
@@ -1051,10 +1065,13 @@ mod tests {
                         );
                         // The shard's forward entries name exactly the
                         // dependencies the full CSR holds for the slot.
-                        let full_deps: Vec<DepEntry> = csr.out_entries
-                            [csr.out_offsets[slot]..csr.out_offsets[slot + 1]]
+                        let full_deps: Vec<DepEntry> = csr.rows.out_entries
+                            [csr.rows.out_offsets[slot]..csr.rows.out_offsets[slot + 1]]
                             .iter()
-                            .chain(&csr.in_entries[csr.in_offsets[slot]..csr.in_offsets[slot + 1]])
+                            .chain(
+                                &csr.rows.in_entries
+                                    [csr.rows.in_offsets[slot]..csr.rows.in_offsets[slot + 1]],
+                            )
                             .copied()
                             .collect();
                         let shard_deps: Vec<DepEntry> = shard.deps_of(slot).copied().collect();
@@ -1092,8 +1109,12 @@ mod tests {
         let mut scratch = OpScratch::new();
         for slot in lo..hi {
             let label = ctx.label_sim(store.pairs[slot].0, store.pairs[slot].1);
-            let a = built.eval_slot(&cfg, &op, &store, slot, &scores, &mut scratch, label);
-            let b = mapped.eval_slot(&cfg, &op, &store, slot, &scores, &mut scratch, label);
+            let a = built
+                .cols()
+                .eval_slot(&cfg, &op, &store, slot, &scores, &mut scratch, label);
+            let b = mapped
+                .cols()
+                .eval_slot(&cfg, &op, &store, slot, &scores, &mut scratch, label);
             assert_eq!(a.to_bits(), b.to_bits(), "slot {slot}");
             let da: Vec<DepEntry> = built.deps_of(slot).copied().collect();
             let db: Vec<DepEntry> = mapped.deps_of(slot).copied().collect();
@@ -1120,14 +1141,14 @@ mod tests {
         };
         let op = VariantOp::new(cfg.variant);
         let store = crate::candidates::enumerate_candidates(&g1, &g2, &ctx, &cfg, &op);
-        let csr = PairDepCsr::build(&g1, &g2, &ctx, &store, &op);
+        let csr = PairDepCsr::build(&g1, &g2, &ctx, &store, &op, None);
         let identity: Vec<u32> = (0..store.len() as u32).collect();
         // Edit the graph (add an edge), mark the touched rows dirty, and
         // check the repair equals a fresh build on the edited graph.
         let g1b = g1.with_edits(&[(0, 2)], &[], &[]);
         let dirty: Vec<bool> = store.pairs.iter().map(|&(u, _)| u == 0 || u == 2).collect();
         let repaired = csr.repaired(&g1b, &g2, &ctx, &store, &op, &identity, &identity, &dirty);
-        let fresh = PairDepCsr::build(&g1b, &g2, &ctx, &store, &op);
+        let fresh = PairDepCsr::build(&g1b, &g2, &ctx, &store, &op, None);
         assert_eq!(repaired, fresh);
         // All-clean repair reproduces the original bit for bit.
         let clean = vec![false; store.len()];
@@ -1148,11 +1169,14 @@ mod tests {
         };
         let op = VariantOp::new(cfg.variant);
         let store = crate::candidates::enumerate_candidates(&g1, &g2, &ctx, &cfg, &op);
-        let csr = PairDepCsr::build(&g1, &g2, &ctx, &store, &op);
+        let csr = PairDepCsr::build(&g1, &g2, &ctx, &store, &op, None);
         for slot in 0..store.len() {
-            let entries = csr.out_entries[csr.out_offsets[slot]..csr.out_offsets[slot + 1]]
+            let entries = csr.rows.out_entries
+                [csr.rows.out_offsets[slot]..csr.rows.out_offsets[slot + 1]]
                 .iter()
-                .chain(&csr.in_entries[csr.in_offsets[slot]..csr.in_offsets[slot + 1]]);
+                .chain(
+                    &csr.rows.in_entries[csr.rows.in_offsets[slot]..csr.rows.in_offsets[slot + 1]],
+                );
             for e in entries {
                 if e.slot != DepEntry::CONST {
                     let src = e.slot as usize;
@@ -1163,6 +1187,74 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Builds the CSR of `cfg`'s store inline and on every runtime in
+    /// `rts`, and asserts the builds are identical.
+    fn assert_builds_agree<O: Operator>(
+        g1: &Graph,
+        g2: &Graph,
+        cfg: &FsimConfig,
+        op: &O,
+        rts: &[Runtime],
+        what: &str,
+    ) {
+        let aligned = super::super::session::AlignedLabels::new(g1, g2);
+        let eval = super::super::session::build_label_eval(cfg, &aligned.interner);
+        let ctx = OpCtx {
+            labels1: &aligned.labels1,
+            labels2: &aligned.labels2,
+            label_eval: &eval,
+            theta: cfg.theta,
+        };
+        let store = crate::candidates::enumerate_candidates(g1, g2, &ctx, cfg, op);
+        let inline = PairDepCsr::build(g1, g2, &ctx, &store, op, None);
+        for rt in rts {
+            let pooled = PairDepCsr::build(g1, g2, &ctx, &store, op, Some(rt));
+            assert!(pooled == inline, "{what}: {} workers differ", rt.threads());
+        }
+    }
+
+    #[test]
+    fn pooled_build_matches_inline_build() {
+        use crate::operators::SimRankOp;
+        use fsim_graph::generate::{gnm, GeneratorConfig};
+        use rand::SeedableRng;
+        let rts = [Runtime::new(2), Runtime::new(3)];
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(14);
+        // Stores from a few hundred to ~10k slots (both sides of the
+        // worker floor); fewer edges than nodes leave isolated nodes, so
+        // rows without entries fall on chunk edges.
+        for (nodes, edges) in [(15, 12), (40, 30), (100, 260)] {
+            let g1 = gnm(&GeneratorConfig::new(nodes, edges, 4), &mut rng);
+            let g2 = gnm(&GeneratorConfig::new(nodes, edges, 4), &mut rng);
+            for variant in [
+                Variant::Simple,
+                Variant::Bi,
+                Variant::DegreePreserving,
+                Variant::Bijective,
+            ] {
+                for theta in [0.0, 0.6] {
+                    for ub in [None, Some((0.5, 0.4))] {
+                        let mut cfg = FsimConfig::new(variant).theta(theta);
+                        if let Some((alpha, beta)) = ub {
+                            cfg = cfg.upper_bound(alpha, beta);
+                        }
+                        let what = format!("n={nodes} {variant:?} theta={theta} ub={ub:?}");
+                        assert_builds_agree(&g1, &g2, &cfg, &VariantOp::new(variant), &rts, &what);
+                    }
+                }
+            }
+            let cfg = FsimConfig::new(Variant::Simple);
+            assert_builds_agree(
+                &g1,
+                &g2,
+                &cfg,
+                &SimRankOp,
+                &rts,
+                &format!("n={nodes} simrank"),
+            );
         }
     }
 }

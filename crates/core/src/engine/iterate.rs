@@ -709,7 +709,7 @@ pub(crate) fn run_replay<O: Operator>(
     cur.clear();
     cur.resize(n, 0.0);
     let max_iters = cfg.effective_max_iters();
-    let r = csr.reverse();
+    let (r, fwd) = (csr.reverse(), csr.forward());
     let mut scratch = OpScratch::new();
     let mut iterations = 0usize;
     let mut converged = false;
@@ -755,7 +755,7 @@ pub(crate) fn run_replay<O: Operator>(
         cur.copy_from_slice(hist);
         for &slot_id in &worklist {
             let slot = slot_id as usize;
-            cur[slot] = csr.eval_slot(
+            cur[slot] = fwd.eval_slot(
                 cfg,
                 op,
                 store,
@@ -832,7 +832,7 @@ pub(crate) fn run_replay<O: Operator>(
             let mut delta = 0.0f64;
             for &slot_id in &worklist {
                 let slot = slot_id as usize;
-                let s = csr.eval_slot(
+                let s = fwd.eval_slot(
                     cfg,
                     op,
                     store,

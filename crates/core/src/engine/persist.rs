@@ -739,19 +739,19 @@ fn decode_store(bytes: &[u8], g1: &Graph, g2: &Graph) -> Result<PairStore, Snaps
 // ------------------------------------------------------------------ deps
 
 fn encode_deps(buf: &mut Vec<u8>, deps: &PairDepCsr) {
-    let raw = deps.raw_parts();
-    put_usize_slice(buf, raw.out_offsets);
-    put_usize_slice(buf, raw.in_offsets);
-    put_dep_entries(buf, raw.out_entries);
-    put_dep_entries(buf, raw.in_entries);
-    put_usize(buf, raw.dims.len());
-    for d in raw.dims {
+    let (fwd, rev) = (deps.forward(), deps.reverse());
+    put_usize_slice(buf, fwd.out_offsets);
+    put_usize_slice(buf, fwd.in_offsets);
+    put_dep_entries(buf, fwd.out_entries);
+    put_dep_entries(buf, fwd.in_entries);
+    put_usize(buf, fwd.dims.len());
+    for d in fwd.dims {
         for &v in d {
             put_u32(buf, v);
         }
     }
-    put_usize_slice(buf, raw.rdep_offsets);
-    put_u32_slice(buf, raw.rdeps);
+    put_usize_slice(buf, rev.offsets);
+    put_u32_slice(buf, rev.deps);
 }
 
 fn decode_deps(bytes: &[u8], n_slots: usize) -> Result<PairDepCsr, SnapshotError> {
@@ -988,5 +988,54 @@ mod tests {
         assert_eq!(skipped.len(), 1);
         assert_eq!(skipped[0].0, "bad.fsnp");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A converged session on random graphs big enough for a two-worker
+    /// pool, holding a dependency CSR and a recorded trajectory.
+    fn pooled_session(theta: f64, threads: usize) -> FsimEngine<'static, VariantOp> {
+        use fsim_graph::generate::{gnm, GeneratorConfig};
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let g1 = gnm(&GeneratorConfig::new(150, 400, 4), &mut rng);
+        let g2 = gnm(&GeneratorConfig::new(150, 400, 4), &mut rng);
+        let cfg = FsimConfig::new(Variant::Simple)
+            .theta(theta)
+            .threads(threads);
+        let mut eng = FsimEngine::new_owned(g1, g2, &cfg).unwrap();
+        eng.run();
+        let parts = eng.persist_parts();
+        assert!(parts.deps.is_some() && parts.trajectory.is_some());
+        assert!(eng.pair_count() >= 2 * crate::engine::iterate::WORKER_FLOOR);
+        eng
+    }
+
+    #[test]
+    fn written_file_matches_the_image() {
+        let dir = tmpdir("written");
+        let path = dir.join("s.fsnp");
+        for theta in [0.0, 0.6] {
+            let eng = pooled_session(theta, 1);
+            let image = eng.snapshot_bytes().unwrap();
+            eng.write_snapshot(&path).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), image, "theta={theta}");
+            for k in [0, 7, 100, image.len() / 2, image.len() - 1, image.len() + 5] {
+                eng.write_snapshot_failing_after(&path, k).unwrap_err();
+                let stub = std::fs::read(fsim_snapshot::writer::temp_path(&path)).unwrap();
+                assert!(stub == image[..k.min(image.len())], "theta={theta} k={k}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn pooled_csr_build_snapshots_identically() {
+        for theta in [0.0, 0.6] {
+            let inline = pooled_session(theta, 1);
+            let mut pooled = pooled_session(theta, 2);
+            // Same config bytes; the pool-built CSR outlives the rerun.
+            pooled.rerun(|c| c.threads = 1).unwrap();
+            let same = inline.snapshot_bytes().unwrap() == pooled.snapshot_bytes().unwrap();
+            assert!(same, "theta={theta}");
+        }
     }
 }

@@ -523,9 +523,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                 let bytes =
                     entries * BYTES_PER_ENTRY + (self.store.len() as u128 + 1) * BYTES_PER_SLOT;
                 if bytes <= self.cfg.csr_budget as u128 {
-                    let csr =
-                        PairDepCsr::build(&self.g1, &self.g2, &self.ctx(), &self.store, &self.op);
-                    self.deps = Some(csr);
+                    self.deps = Some(self.build_deps());
                 }
             }
             return;
@@ -547,9 +545,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             ConvergenceMode::DeltaDriven | ConvergenceMode::Approximate { .. } => {
                 self.shards = None;
                 if self.deps.is_none() {
-                    let csr =
-                        PairDepCsr::build(&self.g1, &self.g2, &self.ctx(), &self.store, &self.op);
-                    self.deps = Some(csr);
+                    self.deps = Some(self.build_deps());
                 }
             }
             ConvergenceMode::Auto => {
@@ -568,9 +564,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                     entries * BYTES_PER_ENTRY + (self.store.len() as u128 + 1) * BYTES_PER_SLOT;
                 if bytes <= self.cfg.csr_budget as u128 {
                     self.shards = None;
-                    let csr =
-                        PairDepCsr::build(&self.g1, &self.g2, &self.ctx(), &self.store, &self.op);
-                    self.deps = Some(csr);
+                    self.deps = Some(self.build_deps());
                 } else if self.cfg.shards == ShardSpec::Auto {
                     let k = auto_shard_count(bytes, self.cfg.csr_budget);
                     if self.shards.as_ref().map(|s| s.requested) != Some(k) {
@@ -590,6 +584,15 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             }
             ConvergenceMode::FullSweep => unreachable!("handled above"),
         }
+    }
+
+    /// Builds the store's dependency CSR, on the session pool when the
+    /// store is big enough to split across it (call
+    /// [`ensure_runtime`](Self::ensure_runtime) first so a cold run's
+    /// build finds the pool).
+    fn build_deps(&self) -> PairDepCsr {
+        let rt = Self::active_runtime(&self.runtime, &self.cfg, self.store.len());
+        PairDepCsr::build(&self.g1, &self.g2, &self.ctx(), &self.store, &self.op, rt)
     }
 
     /// Whether a run should attempt to record its trajectory at all:
@@ -657,13 +660,13 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             self.has_run = true;
             return self;
         }
+        self.ensure_runtime();
         self.ensure_scheduling();
         // A sweep run holds a CSR purely as the vectorized kernel's
         // substrate — its scheduling is still the full sweep.
         self.delta_scheduled = (self.deps.is_some()
             && self.cfg.convergence != ConvergenceMode::FullSweep)
             || self.shards.is_some();
-        self.ensure_runtime();
         // The previous run's trajectory is superseded; its buffers take
         // this run's iterates.
         let previous = self.trajectory.take();
@@ -728,6 +731,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
         } else {
             match deps {
                 Some(csr) => {
+                    let fwd = csr.forward();
                     let schedule = match cfg.convergence {
                         ConvergenceMode::FullSweep => Schedule::Sweep,
                         ConvergenceMode::Auto => Schedule::Auto(csr.reverse()),
@@ -747,7 +751,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                         None,
                         approx_state.as_mut(),
                         |slot: usize, prev: &[f64], scratch: &mut OpScratch| {
-                            csr.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot])
+                            fwd.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot])
                         },
                     )
                 }
@@ -1221,8 +1225,8 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             self.run();
             return;
         }
-        self.ensure_scheduling();
         self.ensure_runtime();
+        self.ensure_scheduling();
         if let Some(tol) = self.cfg.convergence.approximate_tolerance() {
             let has_substrate = self.deps.is_some() || self.shards.is_some();
             let (
@@ -1298,6 +1302,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                     outcome
                 } else {
                     let csr = deps.as_ref().expect("substrate checked above");
+                    let fwd = csr.forward();
                     converge(
                         rt,
                         Schedule::Worklist(csr.reverse()),
@@ -1309,7 +1314,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                         Some(worklist),
                         Some(&mut state),
                         |slot: usize, prev: &[f64], scratch: &mut OpScratch| {
-                            csr.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot])
+                            fwd.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot])
                         },
                     )
                 }
@@ -1355,6 +1360,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             } = self;
             let (g1, g2): (&Graph, &Graph) = (g1, g2);
             let csr = deps.as_ref().expect("checked above");
+            let fwd = csr.forward();
             let (cfg, op): (&FsimConfig, &O) = (cfg, op);
             let (store, label_terms): (&PairStore, &[f64]) = (store, label_terms);
             initialize(store, cfg, g1, g2, label_terms, scores);
@@ -1376,7 +1382,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                     cur,
                     recorder.as_mut(),
                     |slot: usize, prev: &[f64], scratch: &mut OpScratch| {
-                        csr.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot])
+                        fwd.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot])
                     },
                 )
             } else {

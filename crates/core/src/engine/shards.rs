@@ -554,6 +554,7 @@ pub(crate) fn run_sharded<O: Operator>(
             // bit). The session runtime is used only when the worklist is
             // long enough to amortize a dispatch.
             let use_rt = rt.filter(|_| effective_threads(cfg.threads, local_wl.len()) > 1);
+            let cols = csr.cols();
             eval_out.clear();
             eval_out.resize(local_wl.len(), 0.0);
             eval_worklist(
@@ -563,7 +564,7 @@ pub(crate) fn run_sharded<O: Operator>(
                 scores,
                 &mut eval_out,
                 |slot, prev, scratch| {
-                    csr.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot])
+                    cols.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot])
                 },
             );
             for (&slot_id, &s) in local_wl.iter().zip(&eval_out) {

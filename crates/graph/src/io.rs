@@ -222,6 +222,7 @@ mod json {
 
     /// A minimal recursive-descent parser for the [`to_json`] grammar.
     struct Parser<'a> {
+        text: &'a str,
         bytes: &'a [u8],
         pos: usize,
     }
@@ -293,14 +294,13 @@ mod json {
                         self.pos += 1;
                     }
                     Some(_) => {
-                        // Consume one UTF-8 scalar (input is a &str, so
-                        // boundaries are valid).
-                        let rest = &self.bytes[self.pos..];
-                        let s = std::str::from_utf8(rest).map_err(|_| JsonError {
-                            at: self.pos,
-                            message: "bad utf8".into(),
-                        })?;
-                        let c = s.chars().next().expect("non-empty rest");
+                        // Consume one UTF-8 scalar. Only its own bytes are
+                        // decoded: re-validating the whole rest of the
+                        // input per scalar made long strings quadratic.
+                        let c = self.text.get(self.pos..).and_then(|s| s.chars().next());
+                        let Some(c) = c else {
+                            return self.err("bad utf8");
+                        };
                         out.push(c);
                         self.pos += c.len_utf8();
                     }
@@ -354,6 +354,7 @@ mod json {
     /// Parses a graph from the JSON produced by [`to_json`].
     pub fn from_json(s: &str) -> Result<Graph, JsonError> {
         let mut p = Parser {
+            text: s,
             bytes: s.as_bytes(),
             pos: 0,
         };

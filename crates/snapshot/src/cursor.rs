@@ -188,31 +188,38 @@ fn le_u64(c: &[u8]) -> u64 {
     u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])
 }
 
+/// Writes a length-prefixed slice of fixed-width records: the count as
+/// a `u64`, then `encode(v)` for each value. The buffer is resized once
+/// and filled in one pass.
+pub fn put_records<T, const N: usize>(
+    buf: &mut Vec<u8>,
+    vals: &[T],
+    encode: impl Fn(&T) -> [u8; N],
+) {
+    crate::writer::put_usize(buf, vals.len());
+    let start = buf.len();
+    buf.resize(start + vals.len() * N, 0);
+    for (dst, v) in buf[start..].chunks_exact_mut(N).zip(vals) {
+        dst.copy_from_slice(&encode(v));
+    }
+}
+
 /// Writes a length-prefixed `u32` slice (counterpart of
 /// [`Cursor::u32_vec`]).
 pub fn put_u32_slice(buf: &mut Vec<u8>, vals: &[u32]) {
-    crate::writer::put_usize(buf, vals.len());
-    for &v in vals {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
+    put_records(buf, vals, |v| v.to_le_bytes());
 }
 
 /// Writes a length-prefixed `usize` slice as `u64`s (counterpart of
 /// [`Cursor::usize_vec`]).
 pub fn put_usize_slice(buf: &mut Vec<u8>, vals: &[usize]) {
-    crate::writer::put_usize(buf, vals.len());
-    for &v in vals {
-        buf.extend_from_slice(&(v as u64).to_le_bytes());
-    }
+    put_records(buf, vals, |&v| (v as u64).to_le_bytes());
 }
 
 /// Writes a length-prefixed `f64` slice bitwise (counterpart of
 /// [`Cursor::f64_vec`]).
 pub fn put_f64_slice(buf: &mut Vec<u8>, vals: &[f64]) {
-    crate::writer::put_usize(buf, vals.len());
-    for &v in vals {
-        buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
+    put_records(buf, vals, |v| v.to_bits().to_le_bytes());
 }
 
 #[cfg(test)]
